@@ -10,10 +10,11 @@ computable, which turns the excess-risk decomposition
 (h the Bayes predictor of p) into a machine-checkable identity; that is what
 ``logloss_decomposition`` and ``check_prop2`` do.
 
-The classifier is full-batch gradient descent with a constant, data-derived
-step size (1 over a safe Lipschitz bound), zero initialization, sigmoid loss
-for two classes and multinomial softmax otherwise.  No stochasticity enters
-anywhere, so retraining is bit-reproducible.
+The classifier is fitted to its optimum by Newton-CG with a backtracking line
+search, from zero initialization, with the sigmoid loss for two classes and
+multinomial softmax otherwise.  It works on Hessian-vector products, so
+memory stays linear in the nonzeros and the feature count.  No
+stochasticity enters anywhere, so retraining is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -200,7 +201,6 @@ def check_prop2(p1: FiniteJoint, p2: FiniteJoint, p: FiniteJoint) -> Prop2Report
 
 @dataclass(frozen=True)
 class TrainingMeta:
-    seed: int
     iterations: int
     final_objective: float
     converged: bool
@@ -232,24 +232,79 @@ def _matvec(x, w):
     return np.asarray(out).ravel() if sp.issparse(x) else out
 
 
-def _mean_sq_row_norm(x) -> float:
-    if sp.issparse(x):
-        sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
-    else:
-        sq = np.sum(x * x, axis=1)
-    return float(sq.mean())
+_ARMIJO = 1e-4  # sufficient decrease, as a fraction of the directional derivative
+_MAX_HALVINGS = 40  # backtracking steps before the line search gives up
 
 
-def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, seed: int = 0,
+def _sigmoid_link(z, y_index):
+    """Sigmoid loss on one logit column: mean loss, residual, curvature map."""
+    sign = (2.0 * y_index - 1.0)[:, None]
+    loss = -float(np.mean(log_expit(sign * z)))
+    pos = expit(z)
+    weight = pos * (1.0 - pos)
+    return loss, pos - y_index[:, None], lambda u: weight * u
+
+
+def _softmax_link(z, y_index):
+    """Multinomial loss on one logit column per class."""
+    rows = np.arange(z.shape[0])
+    logp = log_softmax(z, axis=1)
+    loss = -float(logp[rows, y_index].mean())
+    prob = np.exp(logp)
+    resid = prob.copy()
+    resid[rows, y_index] -= 1.0
+    return loss, resid, lambda u: prob * (u - np.sum(prob * u, axis=1, keepdims=True))
+
+
+def _conjugate_gradient(hessp, grad, rtol, max_steps):
+    """Approximate solution of ``H p = -grad`` by CG from p = 0.
+
+    Stops once the residual norm falls to ``rtol * ||grad||`` or after
+    ``max_steps`` steps.  A direction without positive curvature (which
+    takes l2_strength = 0 or saturated probabilities) ends the solve with the
+    step found so far, or with steepest descent if there is none.
+    """
+    step = np.zeros_like(grad)
+    resid = -grad
+    direction = resid.copy()
+    rr = float(np.vdot(resid, resid))
+    stop = rtol * rtol * rr
+    for i in range(max_steps):
+        h_dir = hessp(direction)
+        curvature = float(np.vdot(direction, h_dir))
+        if curvature <= 0.0:
+            return step if i else -grad
+        alpha = rr / curvature
+        step += alpha * direction
+        resid -= alpha * h_dir
+        rr_next = float(np.vdot(resid, resid))
+        if rr_next <= stop:
+            break
+        direction = resid + (rr_next / rr) * direction
+        rr = rr_next
+    return step
+
+
+def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, *,
                    max_iter: int = 500, tol: float = 1e-6) -> ClassifierModel:
-    """Fit the l2-regularized logistic model by full-batch gradient descent.
+    """Fit the l2-regularized logistic model by Newton-CG (truncated Newton).
 
     Objective: mean log-loss + (l2_strength / 2) ||weights||^2 (bias
-    unregularized).  The step size is 1 over a Lipschitz upper bound derived
-    from the data, so the objective decreases monotonically; iteration stops
-    when the gradient norm reaches ``tol`` or at ``max_iter`` (recorded as
-    non-converged).  Weights start at zero: the objective is convex, so the
-    optimum is unique and the seed only enters the metadata.
+    unregularized), with the sigmoid link for two classes and multinomial
+    softmax otherwise.  Each Newton iteration solves for its step by
+    conjugate gradients on Hessian-vector products
+    ``X'(s * X v) / n + l2_strength * v`` (plus the bias row), so memory
+    stays O(nnz + d): no (d+1)^2 Hessian, no dense copy of a sparse X.  CG
+    stops at relative residual ``min(0.5, sqrt(||grad||))`` or after one
+    step per parameter; backtracking (Armijo) keeps the objective
+    non-increasing.  Softmax's bias-shift direction is flat, but the
+    gradient is orthogonal to it, so CG never leaves the range of the
+    Hessian.
+
+    Weights start at zero.  Iteration stops when the gradient norm reaches
+    ``tol`` (converged), or, recorded as non-converged, after ``max_iter``
+    Newton iterations or when no step along the Newton direction lowers the
+    objective.
     """
     if l2_strength < 0:
         raise ValueError("l2_strength must be >= 0")
@@ -262,60 +317,59 @@ def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, seed: int = 
     classes = np.unique(train.labels)
     if classes.size < 2:
         raise ValueError(f"training set has a single class ({classes.tolist()}); need >= 2")
-    n = train.n
+    n, d = x.shape
+    xt = x.T
     y_index = np.searchsorted(classes, train.labels)
-
-    mean_sq = _mean_sq_row_norm(x) + 1.0  # +1 for the bias coordinate
     binary = classes.size == 2
-    curvature = 0.25 if binary else 0.5
-    step = 1.0 / (curvature * mean_sq + l2_strength) if (mean_sq or l2_strength) else 1.0
+    link = _sigmoid_link if binary else _softmax_link
 
-    trace = []
-    if binary:
-        y = y_index.astype(float)
-        w = np.zeros(x.shape[1])
-        b = 0.0
-        for iteration in range(max_iter + 1):
-            z = _matvec(x, w) + b
-            objective = float(-np.mean(y * log_expit(z) + (1.0 - y) * log_expit(-z)))
-            objective += 0.5 * l2_strength * float(w @ w)
-            trace.append(objective)
-            resid = expit(z) - y
-            grad_w = np.asarray(x.T @ resid).ravel() / n + l2_strength * w
-            grad_b = float(resid.mean())
-            grad_norm = math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
-            if grad_norm <= tol or iteration == max_iter:
+    # Parameters live in one (d+1) x k array: weight rows, then the bias row;
+    # k is 1 for the sigmoid link and the class count for softmax.
+    def backward(resid, w):
+        out = np.empty((d + 1, resid.shape[1]))
+        out[:d] = xt @ resid / n + l2_strength * w
+        out[d] = resid.mean(axis=0)
+        return out
+
+    def objective(theta):
+        w = theta[:d]
+        loss, resid, curvature = link(x @ w + theta[d], y_index)
+        value = loss + 0.5 * l2_strength * float(np.vdot(w, w))
+        return value, backward(resid, w), curvature
+
+    theta = np.zeros((d + 1, 1 if binary else classes.size))
+    value, grad, curvature = objective(theta)
+    grad_norm = float(np.linalg.norm(grad))
+    trace = [value]
+    iterations = 0
+    while grad_norm > tol and iterations < max_iter:
+        step = _conjugate_gradient(
+            lambda v: backward(curvature(x @ v[:d] + v[d]), v[:d]),
+            grad, min(0.5, math.sqrt(grad_norm)), theta.size)
+        slope = float(np.vdot(grad, step))
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta + t * step
+            trial_value, trial_grad, trial_curvature = objective(trial)
+            trial_norm = float(np.linalg.norm(trial_grad))
+            # Near the optimum rounding can hide the decrease Armijo asks
+            # for; a step that does not raise the objective and shrinks the
+            # gradient is then still progress.
+            if (trial_value <= value + _ARMIJO * t * slope
+                    or (trial_value <= value and trial_norm < grad_norm)):
                 break
-            w -= step * grad_w
-            b -= step * grad_b
-        weights = w[None, :]
-        bias = np.array([b])
-    else:
-        c = classes.size
-        weights = np.zeros((c, x.shape[1]))
-        bias = np.zeros(c)
-        onehot = np.zeros((n, c))
-        onehot[np.arange(n), y_index] = 1.0
-        for iteration in range(max_iter + 1):
-            logits = np.asarray(x @ weights.T) + bias
-            logp = log_softmax(logits, axis=1)
-            objective = float(-logp[np.arange(n), y_index].mean())
-            objective += 0.5 * l2_strength * float(np.sum(weights * weights))
-            trace.append(objective)
-            resid = softmax(logits, axis=1) - onehot
-            grad_w = np.asarray(resid.T @ x) / n + l2_strength * weights
-            grad_b = resid.mean(axis=0)
-            grad_norm = math.sqrt(float(np.sum(grad_w * grad_w)) + float(grad_b @ grad_b))
-            if grad_norm <= tol or iteration == max_iter:
-                break
-            weights -= step * grad_w
-            bias -= step * grad_b
-    converged = grad_norm <= tol
+            t *= 0.5
+        else:
+            break
+        theta, value, grad, curvature = trial, trial_value, trial_grad, trial_curvature
+        grad_norm = trial_norm
+        trace.append(value)
+        iterations += 1
     meta = TrainingMeta(
-        seed=int(seed), iterations=iteration, final_objective=trace[-1],
-        converged=converged, grad_norm=grad_norm, objective_trace=tuple(trace),
+        iterations=iterations, final_objective=value, converged=grad_norm <= tol,
+        grad_norm=grad_norm, objective_trace=tuple(trace),
     )
-    return ClassifierModel(weights=weights, bias=bias, classes=classes,
+    return ClassifierModel(weights=theta[:d].T.copy(), bias=theta[d].copy(), classes=classes,
                            l2_strength=float(l2_strength), training_meta=meta)
 
 
@@ -365,8 +419,8 @@ def evaluate(model: ClassifierModel, test: LabeledDataset,
     forget-slice rows predicted positive regardless of their true label
     (the group-tag variant of recall).
     """
-    preds = predict(model, test.features)
     proba = predict_proba(model, test.features)
+    preds = model.classes[np.argmax(proba, axis=1)]
 
     p1_mask = test.group == "P1"
     p2_mask = test.group == "P2"
@@ -396,12 +450,10 @@ def evaluate(model: ClassifierModel, test: LabeledDataset,
         mask = test.labels == c
         per_class[int(c)] = float(np.mean(preds[mask] == c))
 
-    class_of = {int(c): j for j, c in enumerate(model.classes)}
-    losses = np.empty(test.n)
-    for i, label in enumerate(test.labels):
-        j = class_of.get(int(label))
-        prob = proba[i, j] if j is not None else 0.0
-        losses[i] = -math.log(prob) if prob > 0 else math.inf
+    # Each row's probability of its own label; 0 for a class the model never saw.
+    own = np.sum(proba * (test.labels[:, None] == model.classes), axis=1)
+    with np.errstate(divide="ignore"):
+        losses = -np.log(own)
     return Metrics(
         recall_p1=recall_p1,
         macro_f1_p2=macro_f1,

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 __all__ = [
@@ -157,7 +156,9 @@ def kl_gaussian(p: GaussianModel, q: GaussianModel) -> float:
         )
     diff = p.mean - q.mean
     # Solve L y = diff once against the cached factor; KL = ||y||^2 / 2.
-    y = solve_triangular(q._chol, diff, lower=True)
+    # numpy's general solve on the small factor spares every import of the
+    # package the cost of loading scipy.linalg for a triangular solver.
+    y = np.linalg.solve(q._chol, diff)
     return 0.5 * float(y @ y)
 
 

@@ -344,6 +344,6 @@ def apply_plan(dataset: LabeledDataset, plan: RemovalPlan) -> LabeledDataset:
         raise ValueError(
             f"plan index out of range for a forget partition of {p1_pos.size} rows"
         )
-    drop = set(p1_pos[removed].tolist())
-    keep = np.array([i for i in range(dataset.n) if i not in drop], dtype=int)
-    return dataset.subset(keep)
+    keep = np.ones(dataset.n, dtype=bool)
+    keep[p1_pos[removed]] = False
+    return dataset.subset(np.flatnonzero(keep))

@@ -7,7 +7,8 @@ the cell coordinates (see :mod:`distunlearn.rng`):
     samples / split / featurization : (master, "samples"|"split", seed)
     plan                            : (master, "plan", rule, budget_idx, seed)
     p2 downsampling                 : (master, "downsample", rule, budget_idx, seed)
-    classifier training             : (master, "train", rule, budget_idx, seed)
+
+Classifier training starts from zero and draws no randomness.
 
 Sampling and splitting deliberately ignore the rule and budget so that
 budget-0 cells coincide across rules for a shared seed.  Cells are
@@ -365,10 +366,8 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
                     reduced = downsample_p2(
                         edited, pipeline.downsample_ratio,
                         derive_seed(config.master_seed, "downsample", rule, b_idx, seed))
-                    model = train_logistic(
-                        reduced, pipeline.l2_strength,
-                        derive_seed(config.master_seed, "train", rule, b_idx, seed),
-                        pipeline.max_iter, pipeline.tol)
+                    model = train_logistic(reduced, pipeline.l2_strength,
+                                           max_iter=pipeline.max_iter, tol=pipeline.tol)
                     metrics_obj = evaluate(model, val, positive_label=pipeline.p1_label)
                     metrics = {
                         "recall_p1": metrics_obj.recall_p1,

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import minimize
+from scipy.special import log_softmax
 
 from distunlearn import rng as rnglib
-from distunlearn.data_io import LabeledDataset
+from distunlearn.data_io import LabeledDataset, TfidfConfig, TfidfVectorizer
 from distunlearn.downstream import (
     FiniteJoint,
     check_prop2,
@@ -14,6 +18,7 @@ from distunlearn.downstream import (
     predict_proba,
     train_logistic,
 )
+from distunlearn.synthetic import two_cluster_corpus
 
 
 def random_joint(gen, n_x, n_y):
@@ -125,7 +130,7 @@ class TestTrainLogistic:
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ds = LabeledDataset(features=feats, labels=[1, 0], group=["P1", "P2"],
                             row_ids=["a", "b"])
-        model = train_logistic(ds, l2_strength=1.0, seed=0, max_iter=2000, tol=1e-10)
+        model = train_logistic(ds, l2_strength=1.0, max_iter=2000, tol=1e-10)
         assert model.training_meta.converged
         margin = feats @ model.weights[0] + model.bias[0]
         assert margin[0] > 0 > margin[1]
@@ -138,15 +143,15 @@ class TestTrainLogistic:
             group=np.concatenate([ds.group, ds.group]),
             row_ids=np.concatenate([ds.row_ids, ds.row_ids]),
         )
-        m1 = train_logistic(ds, 0.5, 0, 3000, 1e-10)
-        m2 = train_logistic(doubled, 0.5, 0, 3000, 1e-10)
+        m1 = train_logistic(ds, 0.5, max_iter=3000, tol=1e-10)
+        m2 = train_logistic(doubled, 0.5, max_iter=3000, tol=1e-10)
         np.testing.assert_allclose(m1.weights, m2.weights, atol=1e-12)
         np.testing.assert_allclose(m1.bias, m2.bias, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         ds = two_class_dataset(n=20, d=5, seed=2)
         l2 = 0.3
-        model = train_logistic(ds, l2, 0, max_iter=50, tol=1e-12)
+        model = train_logistic(ds, l2, max_iter=50, tol=1e-12)
         x, y = ds.features, ds.labels.astype(float)
         w = model.weights[0].copy()
         b = float(model.bias[0])
@@ -169,7 +174,7 @@ class TestTrainLogistic:
 
     def test_objective_trace_non_increasing(self):
         ds = two_class_dataset(n=60, seed=3, separation=1.0)
-        model = train_logistic(ds, 0.01, 0, 400, 1e-12)
+        model = train_logistic(ds, 0.01, max_iter=400, tol=1e-12)
         trace = np.array(model.training_meta.objective_trace)
         assert np.all(np.diff(trace) <= 1e-14)
 
@@ -195,7 +200,7 @@ class TestTrainLogistic:
         ds = LabeledDataset(features=feats, labels=labels,
                             group=np.repeat(["P1", "P2", "P2"], 30),
                             row_ids=np.arange(90).astype(str))
-        model = train_logistic(ds, 0.01, 0, 2000, 1e-8)
+        model = train_logistic(ds, 0.01, max_iter=2000, tol=1e-8)
         assert model.weights.shape == (3, 2)
         acc = float(np.mean(predict(model, feats) == labels))
         assert acc > 0.95
@@ -204,15 +209,80 @@ class TestTrainLogistic:
 
     def test_non_convergence_flagged(self):
         ds = two_class_dataset(n=60, seed=5, separation=0.5)
-        model = train_logistic(ds, 1e-6, 0, max_iter=3, tol=1e-14)
+        model = train_logistic(ds, 1e-6, max_iter=3, tol=1e-14)
         assert not model.training_meta.converged
         assert model.training_meta.iterations == 3
+
+    def test_text_sweep_cell_converges(self):
+        # the bundled two-cluster corpus under the criterion-10 TF-IDF and
+        # training settings
+        corpus = two_cluster_corpus(n_p1=240, n_p2=960, seed=1, n_specific=12,
+                                    n_shared=60, specific_frac=0.2)
+        vec = TfidfVectorizer(TfidfConfig(max_features=2000, ngram_min=1, ngram_max=1,
+                                          sublinear_tf=True, min_df=1))
+        feats = vec.fit_transform(np.asarray(corpus.texts, dtype=object))
+        labels = np.asarray(corpus.labels)
+        ds = LabeledDataset(features=feats, labels=labels,
+                            group=np.where(labels == 1, "P1", "P2"),
+                            row_ids=np.asarray(corpus.ids, dtype=object))
+        meta = train_logistic(ds, 1e-3, max_iter=500, tol=1e-7).training_meta
+        assert meta.converged
+        assert meta.iterations <= 50
+        assert meta.grad_norm <= 1e-7
+
+    def test_softmax_matches_reference_optimum(self):
+        gen = np.random.default_rng(10)
+        centers = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 2.0, -1.0]])
+        feats = np.vstack([gen.normal(c, 1.0, size=(25, 3)) for c in centers])
+        labels = np.repeat([0, 1, 2], 25)
+        ds = LabeledDataset(features=feats, labels=labels,
+                            group=np.repeat(["P1", "P2", "P2"], 25),
+                            row_ids=np.arange(75).astype(str))
+        l2 = 0.05
+        model = train_logistic(ds, l2, max_iter=100, tol=1e-10)
+        assert model.training_meta.converged
+        assert model.training_meta.grad_norm <= 1e-10
+
+        def objective(params):
+            w = params[:9].reshape(3, 3)
+            logp = log_softmax(feats @ w.T + params[9:], axis=1)
+            value = -logp[np.arange(75), labels].mean() + 0.5 * l2 * np.sum(w * w)
+            resid = np.exp(logp)
+            resid[np.arange(75), labels] -= 1.0
+            grad = np.concatenate([(resid.T @ feats / 75 + l2 * w).ravel(),
+                                   resid.mean(axis=0)])
+            return value, grad
+
+        ref = minimize(objective, np.zeros(12), jac=True, method="BFGS",
+                       options={"gtol": 1e-12, "maxiter": 10000})
+        assert model.training_meta.final_objective == pytest.approx(ref.fun, abs=1e-9)
+        params = np.concatenate([model.weights.ravel(), model.bias])
+        assert objective(params)[0] == pytest.approx(ref.fun, abs=1e-9)
+
+    def test_sparse_fit_memory_is_hessian_free(self):
+        # a dense Hessian here would be 320 GB and a dense X 480 MB
+        n, d = 300, 200_000
+        gen = np.random.default_rng(11)
+        feats = sp.random(n, d, density=1e-4, format="csr", random_state=gen)
+        row_sums = np.asarray(feats.sum(axis=1)).ravel()
+        labels = row_sums > np.median(row_sums)
+        ds = LabeledDataset(features=feats, labels=labels.astype(int),
+                            group=np.where(labels, "P1", "P2"),
+                            row_ids=np.arange(n).astype(str))
+        tracemalloc.start()
+        try:
+            model = train_logistic(ds, 1e-3, max_iter=100, tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.training_meta.converged
+        assert peak < 64e6
 
 
 class TestEvaluate:
     def test_perfect_predictions(self):
         ds = two_class_dataset(n=40, d=4, seed=6, separation=8.0)
-        model = train_logistic(ds, 1e-4, 0, 4000, 1e-10)
+        model = train_logistic(ds, 1e-4, max_iter=4000, tol=1e-10)
         metrics = evaluate(model, ds)
         assert metrics.recall_p1 == 1.0
         assert metrics.macro_f1_p2 == 1.0
@@ -227,7 +297,7 @@ class TestEvaluate:
                             row_ids=np.arange(6).astype(str))
         train = LabeledDataset(features=np.array([[1.0], [2.0]]), labels=[0, 1],
                                group=["P2", "P1"], row_ids=["x", "y"])
-        model = train_logistic(train, 1e-3, 0, 2000, 1e-10)
+        model = train_logistic(train, 1e-3, max_iter=2000, tol=1e-10)
         preds = predict(model, ds.features)
         assert list(preds[:4]) == [1, 1, 1, 1]  # constant on the preserve slice
         metrics = evaluate(model, ds)
@@ -236,7 +306,7 @@ class TestEvaluate:
     def test_against_independent_confusion_matrix(self):
         gen = np.random.default_rng(7)
         ds = two_class_dataset(n=80, d=3, seed=8, separation=1.0)
-        model = train_logistic(ds, 0.05, 0, 500, 1e-8)
+        model = train_logistic(ds, 0.05, max_iter=500, tol=1e-8)
         metrics = evaluate(model, ds)
         preds = predict(model, ds.features)
 
@@ -264,7 +334,7 @@ class TestEvaluate:
         feats = np.array([[1.0], [-1.0]])
         ds_all_p2 = LabeledDataset(features=feats, labels=[1, 0],
                                    group=["P2", "P2"], row_ids=["a", "b"])
-        model = train_logistic(ds_all_p2, 1e-3, 0, 500, 1e-8)
+        model = train_logistic(ds_all_p2, 1e-3, max_iter=500, tol=1e-8)
         metrics = evaluate(model, ds_all_p2)
         assert metrics.recall_p1 is None
         assert metrics.p1_predicted_positive_rate is None
@@ -273,9 +343,39 @@ class TestEvaluate:
         metrics = evaluate(model, ds_all_p1)
         assert metrics.macro_f1_p2 is None
 
+    def test_logloss_matches_per_row_reference(self):
+        train = two_class_dataset(n=40, d=2, seed=12, separation=1.0)
+        model = train_logistic(train, 0.1, max_iter=100, tol=1e-10)
+        # label 2 is unseen by the model; the row at 1e4 gets probability 0
+        feats = np.vstack([two_class_dataset(n=8, d=2, seed=13).features,
+                           [[-1e4, -1e4]]])
+        labels = np.array([0, 1, 0, 1, 0, 1, 0, 1, 1])
+        group = np.array(["P1", "P2"] * 4 + ["P1"])
+        test = LabeledDataset(features=feats, labels=labels, group=group,
+                              row_ids=np.arange(9).astype(str))
+        proba = predict_proba(model, feats)
+
+        def reference(labels):
+            losses = []
+            for i, label in enumerate(labels):
+                cols = np.flatnonzero(model.classes == label)
+                prob = proba[i, cols[0]] if cols.size else 0.0
+                losses.append(-math.log(prob) if prob > 0 else math.inf)
+            return float(np.mean(losses))
+
+        assert proba[-1, 1] == 0.0
+        assert math.isinf(evaluate(model, test).logloss)
+        finite = test.subset(np.arange(8))
+        assert evaluate(model, finite).logloss == pytest.approx(reference(labels[:8]),
+                                                                rel=1e-14)
+        unseen = LabeledDataset(features=feats[:8], labels=np.where(labels[:8] == 1, 2, 0),
+                                group=group[:8], row_ids=np.arange(8).astype(str))
+        assert math.isinf(reference(unseen.labels))
+        assert math.isinf(evaluate(model, unseen).logloss)
+
     def test_pure_function_of_inputs(self):
         ds = two_class_dataset(n=30, seed=9)
-        model = train_logistic(ds, 0.1, 0, 200, 1e-8)
+        model = train_logistic(ds, 0.1, max_iter=200, tol=1e-8)
         first = evaluate(model, ds)
         second = evaluate(model, ds)
         assert first == second
