@@ -53,6 +53,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     text = text.strip()
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
+        if step == 0.0 or not (stop - start) / step >= 0.0:
+            raise ValueError(f"range {text!r}: step must be nonzero and lead from start to stop")
         count = int(round((stop - start) / step))
         return tuple(round(start + i * step, 10) for i in range(count + 1))
     return tuple(float(p) for p in text.split(",") if p.strip())

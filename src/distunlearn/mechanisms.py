@@ -53,24 +53,41 @@ _RULE_ALIASES = {"tfidf-norm": "norm", "l2-norm": "norm"}
 
 @dataclass(frozen=True)
 class RemovalPlan:
-    """An ordered set of forget-partition row indices to delete."""
+    """Forget-partition row indices to delete, as a read-only int64 array.
+
+    Any int sequence is accepted and copied.  Plans from scores list the
+    indices in priority order; ``random_removal`` lists them sorted.
+    """
 
     rule: str
     budget_f: int
-    removed_indices: tuple[int, ...]
+    removed_indices: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
+        removed = np.array(self.removed_indices, dtype=np.int64)
+        removed.setflags(write=False)
+        object.__setattr__(self, "removed_indices", removed)
         if self.budget_f < 0:
             raise ValueError("budget_f must be >= 0")
-        if len(self.removed_indices) != self.budget_f:
+        if removed.size != self.budget_f:
             raise ValueError(
-                f"plan has {len(self.removed_indices)} indices but budget_f={self.budget_f}"
+                f"plan has {removed.size} indices but budget_f={self.budget_f}"
             )
-        if len(set(self.removed_indices)) != len(self.removed_indices):
-            raise ValueError("removed_indices must be distinct")
-        if any(i < 0 for i in self.removed_indices):
+        if removed.size == 0:
+            return
+        # Negatives are rejected first: they would wrap in the mask below.
+        if removed.min() < 0:
             raise ValueError("removed_indices must be non-negative")
+        top = int(removed.max())
+        if top <= 64 * removed.size:  # the mask is at most 8x the plan's bytes
+            seen = np.zeros(top + 1, dtype=bool)
+            seen[removed] = True
+            distinct = np.count_nonzero(seen) == removed.size
+        else:
+            distinct = np.unique(removed).size == removed.size
+        if not distinct:
+            raise ValueError("removed_indices must be distinct")
 
 
 @dataclass(frozen=True)
@@ -108,8 +125,7 @@ def random_removal(n1: int, f: int, seed: int) -> RemovalPlan:
         raise ValueError(f"budget f={f} must satisfy 0 <= f <= n1={n1}")
     gen = rnglib.generator(seed, "random-removal")
     picked = np.sort(gen.permutation(n1)[:f])
-    return RemovalPlan(rule="random", budget_f=f,
-                       removed_indices=tuple(int(i) for i in picked), seed=int(seed))
+    return RemovalPlan(rule="random", budget_f=f, removed_indices=picked, seed=int(seed))
 
 
 def selective_removal_gaussian(samples_p1, samples_p2, f: int) -> RemovalPlan:
@@ -125,26 +141,30 @@ def selective_removal_gaussian(samples_p1, samples_p2, f: int) -> RemovalPlan:
     if not 0 <= f <= x1.size:
         raise ValueError(f"budget f={f} must satisfy 0 <= f <= {x1.size}")
     scores = np.abs(x1 - x2.mean())
-    order = _priority_order(scores)
     return RemovalPlan(rule="selective-gaussian", budget_f=f,
-                       removed_indices=tuple(int(i) for i in order[:f]), seed=0)
+                       removed_indices=_priority_order(scores)[:f], seed=0)
 
 
 def _priority_order(scores: np.ndarray) -> np.ndarray:
     """Row indices sorted by (score descending, index ascending)."""
-    idx = np.arange(scores.size)
-    return np.lexsort((idx, -scores))
+    return np.argsort(-scores, kind="stable")
 
 
 def plan_from_scores(scored: list[ScoredSample], rule: str, f: int, seed: int = 0) -> RemovalPlan:
-    """Top-f plan from a scored sample sequence (score desc, index asc)."""
+    """Top-f plan from a scored sample sequence (score desc, index asc).
+
+    The plan for budget f is the first f entries of the plan for any larger
+    budget, so a sweep can rank once and slice.
+    """
     if not 0 <= f <= len(scored):
         raise ValueError(f"budget f={f} must satisfy 0 <= f <= {len(scored)}")
     scores = np.array([s.score for s in scored], dtype=float)
-    indices = np.array([s.index for s in scored], dtype=int)
-    order = np.lexsort((indices, -scores))
-    removed = tuple(int(indices[i]) for i in order[:f])
-    return RemovalPlan(rule=rule, budget_f=f, removed_indices=removed, seed=seed)
+    indices = np.array([s.index for s in scored], dtype=np.int64)
+    # Rank in index order so that the stable sort breaks ties by index even
+    # when ``scored`` is not listed by index.
+    by_index = np.argsort(indices, kind="stable")
+    order = by_index[_priority_order(scores[by_index])]
+    return RemovalPlan(rule=rule, budget_f=f, removed_indices=indices[order[:f]], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +359,7 @@ def apply_plan(dataset: LabeledDataset, plan: RemovalPlan) -> LabeledDataset:
     rows, labels, and provenance are untouched and survivor order is kept.
     """
     p1_pos = dataset.p1_positions()
-    removed = np.asarray(plan.removed_indices, dtype=int)
+    removed = plan.removed_indices
     if removed.size and (removed.min() < 0 or removed.max() >= p1_pos.size):
         raise ValueError(
             f"plan index out of range for a forget partition of {p1_pos.size} rows"

@@ -10,6 +10,10 @@ the cell coordinates (see :mod:`distunlearn.rng`):
 
 Classifier training starts from zero and draws no randomness.
 
+Ranked rules rank each seed's forget rows once, and every budget's plan is
+a prefix of that ranking.  Random plans still draw one permutation per
+budget from the plan sub-stream above.
+
 Sampling and splitting deliberately ignore the rule and budget so that
 budget-0 cells coincide across rules for a shared seed.  Cells are
 independent tasks; the worker count comes from the DISTUNLEARN_WORKERS
@@ -27,6 +31,7 @@ passes the midpoint between its no-deletion and full-deletion levels.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -52,6 +57,7 @@ from .downstream import evaluate, train_logistic
 from .gaussian import GaussianModel, kl_gaussian, pooled_mle
 from .mechanisms import (
     FEATURE_RULES,
+    RemovalPlan,
     ScoringParams,
     apply_plan,
     plan_from_scores,
@@ -243,14 +249,17 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
         x2 = gen.normal(mu2, 1.0, n2)
         rows = []
         for rule in config.rules:
+            if rule == "selective-gaussian":
+                ranked = selective_removal_gaussian(x1, x2, n1).removed_indices
             for b_idx, budget in enumerate(config.budget_fractions):
                 f = int(round(budget * n1))
                 if rule == "random":
-                    plan = random_removal(
-                        n1, f, derive_seed(config.master_seed, "plan", rule, b_idx, seed))
+                    removed = random_removal(
+                        n1, f, derive_seed(config.master_seed, "plan", rule, b_idx, seed)
+                    ).removed_indices
                 else:
-                    plan = selective_removal_gaussian(x1, x2, f)
-                kept = np.delete(x1, np.asarray(plan.removed_indices, dtype=int))
+                    removed = ranked[:f]
+                kept = np.delete(x1, removed)
                 fit = pooled_mle(kept, x2, 1.0)
                 rows.append(CellResult(
                     rule=rule, budget_fraction=budget, seed=seed,
@@ -338,7 +347,7 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
         n1_train = p1_pos.size
         rows = []
         for rule in config.rules:
-            scored = None
+            ranked = None
             score_error: str | None = None
             if rule != "random":
                 try:
@@ -347,6 +356,7 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
                         scored = score_features(train.features[p1_pos],
                                                 train.features[p2_pos],
                                                 rule, config.scoring)
+                    ranked = plan_from_scores(scored, rule, n1_train).removed_indices
                 except ValueError as exc:
                     score_error = f"scoring failed: {exc}"
             for b_idx, budget in enumerate(config.budget_fractions):
@@ -361,7 +371,7 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
                             n1_train, f,
                             derive_seed(config.master_seed, "plan", rule, b_idx, seed))
                     else:
-                        plan = plan_from_scores(scored, rule, f)
+                        plan = RemovalPlan(rule=rule, budget_f=f, removed_indices=ranked[:f])
                     edited = apply_plan(train, plan)
                     reduced = downsample_p2(
                         edited, pipeline.downsample_ratio,
@@ -507,7 +517,8 @@ def emit(data, format: str, path, fieldnames: list[str] | None = None) -> None:
     """Write a sweep result or a sequence of row mappings to disk.
 
     Bit-deterministic: fixed column order, floats at 17 significant digits,
-    LF line endings.  ``format`` is ``csv`` or ``json-lines``.
+    LF line endings, and CSV quotes only fields holding a comma, a double
+    quote or a newline.  ``format`` is ``csv`` or ``json-lines``.
     """
     if isinstance(data, SweepResult):
         fields, rows = result_rows(data)
@@ -524,9 +535,10 @@ def emit(data, format: str, path, fieldnames: list[str] | None = None) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if format == "csv":
-                fh.write(",".join(fields) + "\n")
+                writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+                writer.writerow(fields)
                 for row in rows:
-                    fh.write(",".join(_format_value(row.get(name)) for name in fields) + "\n")
+                    writer.writerow([_format_value(row.get(name)) for name in fields])
             else:
                 for row in rows:
                     parts = [f"{json.dumps(name)}: {_json_scalar(row.get(name))}"

@@ -1,10 +1,22 @@
 import numpy as np
+import pytest
 
-from distunlearn.cli import main
+from distunlearn.cli import _parse_floats, main
 
 
 def run(argv):
     return main(argv)
+
+
+class TestParseFloats:
+    def test_ranges_include_stop_in_either_direction(self):
+        assert _parse_floats("0:1:0.5") == (0.0, 0.5, 1.0)
+        assert _parse_floats("1:0:-0.5") == (1.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("spec", ["0:1:0", "0:1:-0.5", "1:0:0.5"])
+    def test_bad_step_names_the_spec(self, spec):
+        with pytest.raises(ValueError, match=spec):
+            _parse_floats(spec)
 
 
 class TestFrontierCommand:

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distunlearn.data_io import LabeledDataset
 from distunlearn.mechanisms import (
     FEATURE_RULES,
     RemovalPlan,
+    ScoredSample,
     ScoringParams,
     apply_plan,
     plan_from_scores,
@@ -35,10 +38,34 @@ class TestRemovalPlan:
         with pytest.raises(ValueError):
             RemovalPlan(rule="random", budget_f=3, removed_indices=(1, 2))
 
+    @pytest.mark.parametrize("container", [tuple, np.array])
+    @pytest.mark.parametrize("budget_f, indices, match", [
+        (2, (1, 1), "distinct"),
+        (2, (2**40, 2**40), "distinct"),
+        (3, (1, 2), "indices but budget_f=3"),
+        (2, (0, -1), "non-negative"),
+    ])
+    def test_errors_for_tuple_and_array(self, container, budget_f, indices, match):
+        with pytest.raises(ValueError, match=match):
+            RemovalPlan(rule="random", budget_f=budget_f, removed_indices=container(indices))
+
+    def test_far_out_distinct_indices_accepted(self):
+        plan = RemovalPlan(rule="random", budget_f=2, removed_indices=(2**40, 0))
+        assert plan.removed_indices.tolist() == [2**40, 0]
+
+    def test_indices_are_a_read_only_int64_copy(self):
+        source = np.array([4, 2, 7])
+        plan = RemovalPlan(rule="random", budget_f=3, removed_indices=source)
+        source[0] = 0
+        assert plan.removed_indices.dtype == np.int64
+        assert plan.removed_indices.tolist() == [4, 2, 7]
+        with pytest.raises(ValueError, match="read-only"):
+            plan.removed_indices[0] = 1
+
 
 class TestRandomRemoval:
     def test_zero_budget(self):
-        assert random_removal(5, 0, seed=7).removed_indices == ()
+        assert random_removal(5, 0, seed=7).removed_indices.tolist() == []
 
     def test_full_deletion(self):
         plan = random_removal(5, 5, seed=7)
@@ -47,12 +74,13 @@ class TestRandomRemoval:
     def test_deterministic(self):
         a = random_removal(1000, 100, seed=1)
         b = random_removal(1000, 100, seed=1)
-        assert a == b
+        assert (a.rule, a.budget_f, a.seed) == (b.rule, b.budget_f, b.seed)
+        assert np.array_equal(a.removed_indices, b.removed_indices)
 
     def test_seed_changes_selection(self):
         a = random_removal(1000, 100, seed=1)
         b = random_removal(1000, 100, seed=2)
-        assert a.removed_indices != b.removed_indices
+        assert not np.array_equal(a.removed_indices, b.removed_indices)
 
     def test_rejects_overdraw(self):
         with pytest.raises(ValueError):
@@ -254,7 +282,7 @@ class TestPlanFromScores:
         scored = score_features(np.array([[2.0], [3.0], [2.0]]),
                                 np.zeros((1, 1)), "norm")
         plan = plan_from_scores(scored, "norm", 2)
-        assert plan.removed_indices == (1, 0)
+        assert plan.removed_indices.tolist() == [1, 0]
 
     def test_nested_in_budget(self):
         gen = np.random.default_rng(5)
@@ -264,6 +292,23 @@ class TestPlanFromScores:
             current = set(plan_from_scores(scored, "norm", f).removed_indices)
             assert previous <= current
             previous = current
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_lexsort_reference_and_nests(self, data):
+        # Small integer scores force ties; a shuffled index order checks that
+        # ties break by row index, not by position in the list.
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+        idx = np.array(data.draw(st.permutations(range(len(values)))))
+        scores = np.array(values, dtype=float)
+        scored = [ScoredSample(index=int(i), score=v) for i, v in zip(idx, scores)]
+        reference = idx[np.lexsort((idx, -scores))]
+        previous: list[int] = []
+        for f in range(len(values) + 1):
+            plan = plan_from_scores(scored, "norm", f).removed_indices.tolist()
+            assert plan == reference[:f].tolist()
+            assert plan[:len(previous)] == previous
+            previous = plan
 
 
 class TestApplyPlan:

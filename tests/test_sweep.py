@@ -1,13 +1,19 @@
+import csv
+
 import numpy as np
 import pytest
 
+from distunlearn import rng as rnglib
 from distunlearn.data_io import LabeledDataset, TfidfConfig
+from distunlearn.gaussian import GaussianModel, kl_gaussian, pooled_mle
+from distunlearn.mechanisms import random_removal, selective_removal_gaussian
 from distunlearn.sweep import (
     CellResult,
     PipelineConfig,
     SweepConfig,
     SweepResult,
     budget_to_reach,
+    derive_seed,
     emit,
     half_target_budget,
     run_dataset_sweep,
@@ -94,6 +100,33 @@ class TestRunGaussianSweep:
         config = small_gaussian_config(rules=("cos-mu2",))
         with pytest.raises(ValueError, match="supports rules"):
             run_gaussian_sweep(0.5, 100, 100, config)
+
+    def test_matches_per_cell_reference(self):
+        # Reference: a plan built from scratch for every cell.
+        mu2, n = 0.5, 500
+        config = small_gaussian_config(budget_fractions=(0.0, 0.1, 0.25, 0.5, 0.9, 1.0))
+        p1, p2 = GaussianModel.univariate(0.0, 1.0), GaussianModel.univariate(mu2, 1.0)
+        expected = []
+        for seed in config.seeds:
+            gen = rnglib.generator(config.master_seed, "samples", seed)
+            x1, x2 = gen.normal(0.0, 1.0, n), gen.normal(mu2, 1.0, n)
+            for rule in config.rules:
+                cells = []
+                for b_idx, budget in enumerate(config.budget_fractions):
+                    f = int(round(budget * n))
+                    if rule == "random":
+                        plan = random_removal(
+                            n, f, derive_seed(config.master_seed, "plan", rule, b_idx, seed))
+                    else:
+                        plan = selective_removal_gaussian(x1, x2, f)
+                    fit = pooled_mle(np.delete(x1, plan.removed_indices), x2, 1.0)
+                    cells.append((budget, kl_gaussian(p1, fit), kl_gaussian(p2, fit), f))
+                full = cells[-1][1]
+                expected += [CellResult(rule=rule, budget_fraction=budget, seed=seed,
+                                        metrics={"alpha": alpha, "epsilon": eps, "f": float(f),
+                                                 "alpha_remaining": full - alpha})
+                             for budget, alpha, eps, f in cells]
+        assert run_gaussian_sweep(mu2, n, n, config).rows == expected
 
     def test_parallel_workers_match_serial(self, monkeypatch):
         config = small_gaussian_config()
@@ -250,6 +283,24 @@ class TestEmit:
         first = dict(zip(header, lines[1].split(",")))
         row = result.cell(first["rule"], float(first["budget_fraction"]), int(first["seed"]))
         assert float(first["alpha"]) == row.metrics["alpha"]
+
+    def test_csv_quotes_awkward_failure_reason(self, tmp_path):
+        reason = 'k=11 out of range: need 1 <= k <= min(|p1|-1, |p2|) = 10\nsee "k"'
+        result = SweepResult(
+            rows=[CellResult(rule="knn-ratio", budget_fraction=0.5, seed=0, metrics={},
+                             failed=True, failure_reason=reason),
+                  CellResult(rule="random", budget_fraction=0.5, seed=0, metrics={"m": 0.25})],
+            metric_names=("m",))
+        path = tmp_path / "out.csv"
+        emit(result, "csv", path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            parsed = list(csv.reader(fh))
+        assert parsed == [
+            ["rule", "budget_fraction", "seed", "failed", "failure_reason", "m"],
+            ["knn-ratio", "0.5", "0", "true", reason, ""],
+            ["random", "0.5", "0", "false", "", "0.25"],
+        ]
+        assert path.read_text().endswith("\nrandom,0.5,0,false,,0.25\n")
 
     def test_reruns_byte_identical(self, tmp_path):
         config = small_gaussian_config()
