@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import sys
 
 import numpy as np
@@ -85,12 +86,23 @@ def _load_config(args) -> configparser.ConfigParser:
     return parser
 
 
+@contextlib.contextmanager
+def _config_errors(where: str):
+    """Exit with one line naming ``where``, like the other config errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"invalid {where}: {exc}") from exc
+
+
 def _get(cfg, section, option, fallback=None, cast=str):
+    """A config value parsed by ``cast``, or ``fallback`` (unparsed) if unset."""
     if cfg.has_option(section, option):
         raw = cfg.get(section, option)
         if cast is bool:
             return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        with _config_errors(f"{section}.{option}"):
+            return cast(raw)
     return fallback
 
 
@@ -99,8 +111,8 @@ def _sweep_config(cfg, args) -> SweepConfig:
         r.strip() for r in _get(cfg, "sweep", "rules", "random,selective-gaussian").split(",")
         if r.strip()
     )
-    budgets = _parse_floats(_get(cfg, "sweep", "budgets", "")) or DEFAULT_BUDGETS
-    seeds = _parse_ints(_get(cfg, "sweep", "seeds", "0..4"))
+    budgets = _get(cfg, "sweep", "budgets", (), _parse_floats) or DEFAULT_BUDGETS
+    seeds = _get(cfg, "sweep", "seeds", tuple(range(5)), _parse_ints)
     master = args.seed if args.seed is not None else _get(cfg, "sweep", "master_seed", 0, int)
     scoring = ScoringParams(
         k=_get(cfg, "scoring", "k", 10, int),
@@ -109,20 +121,22 @@ def _sweep_config(cfg, args) -> SweepConfig:
         seed=_get(cfg, "scoring", "seed", 0, int),
         bandwidth_cap=_get(cfg, "scoring", "bandwidth_cap", 2048, int),
     )
-    return SweepConfig(rules=rules, budget_fractions=budgets, seeds=seeds,
-                       master_seed=master, scoring=scoring)
+    with _config_errors("[sweep] config"):
+        return SweepConfig(rules=rules, budget_fractions=budgets, seeds=seeds,
+                           master_seed=master, scoring=scoring)
 
 
 def _tfidf_config(cfg) -> TfidfConfig:
-    return TfidfConfig(
-        max_features=_get(cfg, "tfidf", "max_features", 20000, int),
-        ngram_min=_get(cfg, "tfidf", "ngram_min", 1, int),
-        ngram_max=_get(cfg, "tfidf", "ngram_max", 2, int),
-        sublinear_tf=_get(cfg, "tfidf", "sublinear_tf", True, bool),
-        min_df=_get(cfg, "tfidf", "min_df", 1, int),
-        lowercase=_get(cfg, "tfidf", "lowercase", True, bool),
-        stopword_removal=_get(cfg, "tfidf", "stopword_removal", False, bool),
-    )
+    with _config_errors("[tfidf] config"):
+        return TfidfConfig(
+            max_features=_get(cfg, "tfidf", "max_features", 20000, int),
+            ngram_min=_get(cfg, "tfidf", "ngram_min", 1, int),
+            ngram_max=_get(cfg, "tfidf", "ngram_max", 2, int),
+            sublinear_tf=_get(cfg, "tfidf", "sublinear_tf", True, bool),
+            min_df=_get(cfg, "tfidf", "min_df", 1, int),
+            lowercase=_get(cfg, "tfidf", "lowercase", True, bool),
+            stopword_removal=_get(cfg, "tfidf", "stopword_removal", False, bool),
+        )
 
 
 def _pipeline_config(cfg) -> PipelineConfig:
@@ -170,7 +184,7 @@ def _load_dataset(cfg):
 
 def _cmd_frontier(args) -> int:
     cfg = _load_config(args)
-    alphas = _parse_floats(_get(cfg, "frontier", "alphas", "")) or None
+    alphas = _get(cfg, "frontier", "alphas", (), _parse_floats) or None
     family_kind = _get(cfg, "frontier", "family", "gaussian")
     rows = []
     if family_kind == "gaussian":
@@ -191,8 +205,9 @@ def _cmd_frontier(args) -> int:
                 "divergence": divergence,
             })
     elif family_kind == "bernoulli":
-        fam = bernoulli_family(_get(cfg, "frontier", "q1", 0.3, float),
-                               _get(cfg, "frontier", "q2", 0.7, float))
+        with _config_errors("[frontier] family"):
+            fam = bernoulli_family(_get(cfg, "frontier", "q1", 0.3, float),
+                                   _get(cfg, "frontier", "q2", 0.7, float))
         divergence = fam.divergence()
         if alphas is None:
             alphas = tuple(round(divergence * m, 12) for m in (1.1, 1.5, 2.0, 3.0, 5.0))
@@ -218,8 +233,8 @@ def _cmd_bounds(args) -> int:
     n2 = _get(cfg, "bounds", "n2", 1000, int)
     delta = _get(cfg, "bounds", "delta", 0.1, float)
     divergence = _get(cfg, "bounds", "divergence", 0.125, float)
-    f_values = tuple(int(f) for f in
-                     _parse_floats(_get(cfg, "bounds", "f", f"0:{n1}:{max(1, n1 // 20)}")))
+    f_values = tuple(int(f) for f in _get(cfg, "bounds", "f", None, _parse_floats)
+                     or _parse_floats(f"0:{n1}:{max(1, n1 // 20)}"))
     mechanisms = tuple(m.strip() for m in
                        _get(cfg, "bounds", "mechanisms", "random,selective").split(","))
     target_alpha = _get(cfg, "bounds", "target_alpha", None, float)

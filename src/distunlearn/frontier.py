@@ -22,8 +22,8 @@ contractions coincide for Gaussians, where theta is linear in the mean.)
 lambda* is found by bracketed bisection of H(lambda) = KL(p_1 || p*(lambda))
 on (0, 1).  H's endpoint values (H -> D at 0+, H -> +inf at 1-) force a sign
 change; the solver relies only on that sign change, not on a monotonicity
-direction, and falls back to golden-section minimization of |H - alpha| if
-the bracket ever fails to behave.  The lambda > 1 branch is never explored.
+direction, and rejects the family spec as ill-conditioned when the bracket
+it ends on does not pin H to alpha.  The lambda > 1 branch is never explored.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
 _LAMBDA_LO = 1e-9
 _LAMBDA_HI = 1.0 - 1e-9
 _MAX_BISECT = 200
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,8 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
     Solves H(lambda) = KL(p1 || p*(lambda)) = alpha for lambda* in (0, 1) by
     sign-change bisection (values where p* leaves the family count as +inf),
     then evaluates the optimal value formula.  The residual |H(lambda*) -
-    alpha| is reported and must be <= 1e-9 * max(1, alpha); if bisection
-    lands badly a golden-section pass on |H - alpha| is attempted first.
+    alpha| is reported and must be <= 1e-9 * max(1, alpha); a larger one
+    (for example where H jumps across the final bracket) raises ValueError.
     """
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
@@ -235,31 +234,10 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
     residual = abs(h_lam - alpha)
 
     if not residual <= 1e-9 * max(1.0, alpha):
-        # Non-monotone or discontinuous H on the bracket: minimize |H - alpha|
-        # by golden section instead of trusting the sign change.
-        a, b = _LAMBDA_LO, _LAMBDA_HI
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = abs(h(c) - alpha), abs(h(d) - alpha)
-        for _ in range(_MAX_BISECT):
-            if abs(b - a) <= 1e-15:
-                break
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = abs(h(c) - alpha)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = abs(h(d) - alpha)
-        lam = 0.5 * (a + b)
-        h_lam, theta_star = _h_of_lambda(family, lam, e1, e2)
-        residual = abs(h_lam - alpha)
-        if not residual <= 1e-9 * max(1.0, alpha):
-            raise ValueError(
-                f"frontier solve failed after {_MAX_BISECT} iterations: "
-                f"|H(lambda) - alpha| = {residual:.3g} (ill-conditioned family spec)"
-            )
+        raise ValueError(
+            f"frontier solve failed after {_MAX_BISECT} iterations: "
+            f"|H(lambda) - alpha| = {residual:.3g} (ill-conditioned family spec)"
+        )
 
     value = max(0.0, family.kl(theta2, theta_star))
     point = TradeoffPoint(alpha=alpha, epsilon=value, dominated=False)

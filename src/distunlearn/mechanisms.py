@@ -89,6 +89,17 @@ class RemovalPlan:
         if not distinct:
             raise ValueError("removed_indices must be distinct")
 
+    # By value: the generated dataclass methods would compare the index
+    # arrays elementwise and could not hash them.
+    def _key(self):
+        return (self.rule, self.budget_f, self.seed, self.removed_indices.tobytes())
+
+    def __eq__(self, other):
+        return isinstance(other, RemovalPlan) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True)
 class ScoredSample:
@@ -213,19 +224,43 @@ def _cosine_distance_to(x, direction: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return dist, zero
 
 
-def _squared_distances(a, b) -> np.ndarray:
-    """Dense (n_a, n_b) matrix of squared euclidean distances."""
+# Largest number of float64 values in one distance block (8 MB).
+_BLOCK_VALUES = 2**20
+
+
+def _squared_distance_blocks(a, b):
+    """Yield ``(lo, hi, block)``: squared euclidean distances of ``a[lo:hi]``
+    to every row of ``b``, as a fresh writable array of at most
+    ``_BLOCK_VALUES`` entries (one row when ``b`` alone is larger)."""
     a_sq = _row_norms(a) ** 2
     b_sq = _row_norms(b) ** 2
-    cross = (a @ b.T).toarray() if sp.issparse(a) else a @ _dense(b).T
-    d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * np.asarray(cross)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    b_t = b.T if sp.issparse(a) else _dense(b).T
+    n_a, n_b = a.shape[0], b.shape[0]
+    rows = max(1, _BLOCK_VALUES // n_b)
+    for lo in range(0, n_a, rows):
+        hi = min(lo + rows, n_a)
+        cross = a[lo:hi] @ b_t
+        if sp.issparse(cross):
+            cross = cross.toarray()
+        cross *= 2.0
+        block = a_sq[lo:hi, None] + b_sq[None, :]
+        block -= cross
+        np.maximum(block, 0.0, out=block)
+        yield lo, hi, block
 
 
-def _kth_smallest(values: np.ndarray, k: int) -> np.ndarray:
-    """k-th smallest entry per row (1-based k)."""
-    return np.partition(values, k - 1, axis=1)[:, k - 1]
+def _kth_nearest(a, b, k: int, exclude_self: bool = False) -> np.ndarray:
+    """Squared distance from each row of ``a`` to its k-th nearest row of
+    ``b`` (1-based k).  With ``exclude_self``, ``a`` and ``b`` are the same
+    rows and row r is not its own neighbor."""
+    out = np.empty(a.shape[0])
+    for lo, hi, block in _squared_distance_blocks(a, b):
+        if exclude_self:
+            own = np.arange(lo, hi)
+            block[own - lo, own] = np.inf
+        block.partition(k - 1, axis=1)
+        out[lo:hi] = block[:, k - 1]
+    return out
 
 
 def _median_pairwise_distance(pooled, cap: int) -> float:
@@ -237,11 +272,18 @@ def _median_pairwise_distance(pooled, cap: int) -> float:
         positions = np.unique(positions)
         pooled = pooled[positions]
         n = pooled.shape[0]
-    d2 = _squared_distances(pooled, pooled)
-    iu = np.triu_indices(n, k=1)
-    if iu[0].size == 0:
+    if n < 2:
         return 1.0
-    return float(np.median(np.sqrt(d2[iu])))
+    # Upper triangle (i < j), row by row, in one preallocated vector.
+    upper = np.empty(n * (n - 1) // 2)
+    start = 0
+    for lo, hi, block in _squared_distance_blocks(pooled, pooled):
+        for r in range(lo, hi):
+            stop = start + n - 1 - r
+            upper[start:stop] = block[r - lo, r + 1:]
+            start = stop
+    np.sqrt(upper, out=upper)
+    return float(np.median(upper, overwrite_input=True))
 
 
 def _mahalanobis_solver(features_p2, ridge_scale: float):
@@ -330,10 +372,8 @@ def score_features(features_p1, features_p2, rule: str,
             sigma = _median_pairwise_distance(pooled, params.bandwidth_cap)
             if sigma == 0.0:
                 raise ValueError("degenerate pooled dataset: median pairwise distance is 0")
-        d2_own = _squared_distances(x1, x1)
-        np.fill_diagonal(d2_own, np.inf)
-        d1k = _kth_smallest(d2_own, k)
-        d2k = _kth_smallest(_squared_distances(x1, x2), k)
+        d1k = _kth_nearest(x1, x1, k, exclude_self=True)
+        d2k = _kth_nearest(x1, x2, k)
         scores = np.exp((d2k - d1k) / sigma**2)
     else:  # pragma: no cover
         raise AssertionError(rule)

@@ -15,10 +15,7 @@ a prefix of that ranking.  Random plans still draw one permutation per
 budget from the plan sub-stream above.
 
 Sampling and splitting deliberately ignore the rule and budget so that
-budget-0 cells coincide across rules for a shared seed.  Cells are
-independent tasks; the worker count comes from the DISTUNLEARN_WORKERS
-environment variable (default 1) and results merge by cell key, so the
-output is identical regardless of scheduling.
+budget-0 cells coincide across rules for a shared seed.
 
 The Gaussian sweep emits ``alpha`` (divergence from the forget model) and
 ``epsilon`` (divergence from the preserve model) per cell, plus the derived
@@ -34,9 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,7 +77,6 @@ __all__ = [
 ]
 
 GAUSSIAN_RULES = ("random", "selective-gaussian")
-WORKERS_ENV = "DISTUNLEARN_WORKERS"
 
 
 def derive_seed(master_seed: int, *labels) -> int:
@@ -200,26 +194,6 @@ class SweepResult:
         return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(f"ignoring invalid {WORKERS_ENV}={raw!r}")
-        return 1
-
-
-def _run_tasks(tasks):
-    """Run keyed no-arg callables, possibly in parallel; merge by key."""
-    workers = _worker_count()
-    keys = sorted(tasks)
-    if workers == 1:
-        return {key: tasks[key]() for key in keys}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {key: pool.submit(tasks[key]) for key in keys}
-        return {key: futures[key].result() for key in keys}
-
-
 # ---------------------------------------------------------------------------
 # Gaussian sweep
 # ---------------------------------------------------------------------------
@@ -243,11 +217,11 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
     p1_true = GaussianModel.univariate(0.0, 1.0)
     p2_true = GaussianModel.univariate(mu2, 1.0)
 
-    def run_seed(seed: int) -> list[CellResult]:
+    rows = []
+    for seed in sorted(set(config.seeds)):
         gen = rnglib.generator(config.master_seed, "samples", seed)
         x1 = gen.normal(0.0, 1.0, n1)
         x2 = gen.normal(mu2, 1.0, n2)
-        rows = []
         for rule in config.rules:
             if rule == "selective-gaussian":
                 ranked = selective_removal_gaussian(x1, x2, n1).removed_indices
@@ -269,10 +243,6 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
                         "f": float(f),
                     },
                 ))
-        return rows
-
-    per_seed = _run_tasks({seed: (lambda s=seed: run_seed(s)) for seed in config.seeds})
-    rows = [row for seed in sorted(per_seed) for row in per_seed[seed]]
     metric_names = ("alpha", "epsilon", "f")
     if 1.0 in config.budget_fractions:
         full = {(r.rule, r.seed): r.metrics["alpha"]
@@ -337,7 +307,8 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
         if rule not in FEATURE_RULES:
             raise ValueError(f"dataset sweep supports rules {FEATURE_RULES}, got {rule!r}")
 
-    def run_seed(seed: int) -> list[CellResult]:
+    rows = []
+    for seed in sorted(set(config.seeds)):
         if isinstance(source, TextCorpus):
             train, val = _prepare_seed_text(source, pipeline, config.master_seed, seed)
         else:
@@ -345,7 +316,6 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
         p1_pos = train.p1_positions()
         p2_pos = train.p2_positions()
         n1_train = p1_pos.size
-        rows = []
         for rule in config.rules:
             ranked = None
             score_error: str | None = None
@@ -393,10 +363,6 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
                     rows.append(CellResult(rule=rule, budget_fraction=budget, seed=seed,
                                            metrics={}, failed=True,
                                            failure_reason=str(exc)))
-        return rows
-
-    per_seed = _run_tasks({seed: (lambda s=seed: run_seed(s)) for seed in config.seeds})
-    rows = [row for seed in sorted(per_seed) for row in per_seed[seed]]
     names = sorted({name for row in rows for name in row.metrics})
     return SweepResult(rows=rows, metric_names=tuple(names))
 

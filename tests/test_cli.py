@@ -19,6 +19,26 @@ class TestParseFloats:
             _parse_floats(spec)
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("argv, names", [
+        (["simulate", "--set", "sweep.budgets=0:1:0"], ["sweep.budgets", "'0:1:0'"]),
+        (["bounds", "--set", "bounds.f=10:0:5"], ["bounds.f", "'10:0:5'"]),
+        (["simulate", "--set", "sweep.seeds=a..b"], ["sweep.seeds"]),
+        (["simulate", "--set", "sweep.budgets=0.5,0.1"], ["[sweep]", "sorted"]),
+        (["frontier", "--set", "frontier.family=bernoulli", "--set", "frontier.q1=1.5"],
+         ["[frontier]", "1.5"]),
+    ])
+    def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            run(argv + ["--out", str(out)])
+        message = str(info.value)
+        assert message.startswith("invalid ") and "\n" not in message
+        for name in names:
+            assert name in message
+        assert not out.exists()
+
+
 class TestFrontierCommand:
     def test_gaussian_frontier_csv(self, tmp_path, capsys):
         out = tmp_path / "frontier.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from distunlearn import frontier
 from distunlearn.frontier import (
     ExpFamilySpec,
     TradeoffPoint,
@@ -157,6 +158,19 @@ class TestExpFamilyGaussian:
             res = frontier_expfamily(fam, mult * divergence)
             closed = frontier_gaussian(divergence, mult * divergence).epsilon
             assert res.point.epsilon == pytest.approx(closed, abs=1e-6)
+
+    def test_jump_in_h_raises(self, monkeypatch):
+        # H jumps over alpha at lambda = 0.5: the bisection bracket closes on
+        # the jump and no lambda meets the residual tolerance.
+        fam = gaussian_family(0.0, 2.0, 1.0)
+        alpha = 8.0
+
+        def jumping_h(family, lam, e1, e2):
+            return (0.5 if lam < 0.5 else 2.0) * alpha, family.natural_param_theta1
+
+        monkeypatch.setattr(frontier, "_h_of_lambda", jumping_h)
+        with pytest.raises(ValueError, match=r"frontier solve failed.*ill-conditioned"):
+            frontier_expfamily(fam, alpha)
 
     def test_identical_members_rejected(self):
         fam = gaussian_family(1.0, 1.0, 1.0)

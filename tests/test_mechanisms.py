@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distunlearn import mechanisms
 from distunlearn.data_io import LabeledDataset
 from distunlearn.mechanisms import (
     FEATURE_RULES,
@@ -61,6 +64,20 @@ class TestRemovalPlan:
         assert plan.removed_indices.tolist() == [4, 2, 7]
         with pytest.raises(ValueError, match="read-only"):
             plan.removed_indices[0] = 1
+
+    def test_equal_plans_compare_and_hash_alike(self):
+        a = RemovalPlan(rule="norm", budget_f=3, removed_indices=(4, 2, 7), seed=1)
+        b = RemovalPlan(rule="norm", budget_f=3, removed_indices=np.array([4, 2, 7]), seed=1)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_plans_differing_in_one_index_differ(self):
+        a = RemovalPlan(rule="norm", budget_f=3, removed_indices=(4, 2, 7))
+        for other in ((4, 2, 8), (2, 4, 7)):
+            b = RemovalPlan(rule="norm", budget_f=3, removed_indices=other)
+            assert a != b
+            assert len({a, b}) == 2
 
 
 class TestRandomRemoval:
@@ -277,6 +294,84 @@ class TestScoreFeatures:
             score_features(np.ones((2, 2)), np.empty((0, 2)), "cos-mu2")
 
 
+def dense_squared_distances(a, b):
+    """Full (n_a, n_b) squared-distance matrix: the formula the blocks use."""
+    a, b = mechanisms._dense(a), mechanisms._dense(b)
+    d2 = (np.linalg.norm(a, axis=1) ** 2)[:, None] + (np.linalg.norm(b, axis=1) ** 2)[None, :]
+    d2 = d2 - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def dense_kth_nearest(a, b, k, exclude_self=False):
+    d2 = dense_squared_distances(a, b)
+    if exclude_self:
+        np.fill_diagonal(d2, np.inf)
+    return np.sort(d2, axis=1)[:, k - 1]
+
+
+def dense_median_pairwise(pooled, cap):
+    n = pooled.shape[0]
+    if n > cap:
+        pooled = pooled[np.unique(np.linspace(0, n - 1, cap).round().astype(int))]
+        n = pooled.shape[0]
+    iu = np.triu_indices(n, k=1)
+    if iu[0].size == 0:
+        return 1.0
+    return float(np.median(np.sqrt(dense_squared_distances(pooled, pooled)[iu])))
+
+
+class TestDistanceBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_blocked_matches_dense_reference(self, data):
+        # Halves in [-4, 4] keep every product and sum exact, so any
+        # difference from the reference comes from the block bookkeeping.
+        n1 = data.draw(st.integers(2, 12))
+        n2 = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 4))
+        halves = st.integers(-8, 8).map(lambda v: v / 2.0)
+        x1 = np.array(data.draw(st.lists(halves, min_size=n1 * d, max_size=n1 * d))).reshape(n1, d)
+        x2 = np.array(data.draw(st.lists(halves, min_size=n2 * d, max_size=n2 * d))).reshape(n2, d)
+        k = data.draw(st.integers(1, min(n1 - 1, n2)))
+        cap = data.draw(st.integers(2, n1 + n2 + 2))
+        pooled = np.vstack([x1, x2])
+        expected = (dense_kth_nearest(x1, x1, k, exclude_self=True),
+                    dense_kth_nearest(x1, x2, k), dense_median_pairwise(pooled, cap))
+        if data.draw(st.booleans()):
+            x1, x2, pooled = sp.csr_matrix(x1), sp.csr_matrix(x2), sp.csr_matrix(pooled)
+        # A few rows per block, with a partial last block.
+        with mock.patch.object(mechanisms, "_BLOCK_VALUES", data.draw(st.integers(1, 40))):
+            own = mechanisms._kth_nearest(x1, x1, k, exclude_self=True)
+            cross = mechanisms._kth_nearest(x1, x2, k)
+            sigma = mechanisms._median_pairwise_distance(pooled, cap)
+        np.testing.assert_allclose(own, expected[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cross, expected[1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sigma, expected[2], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cap, rows", [(9, 2), (8, 2), (3, 1)])
+    def test_blocks_cover_rows_within_the_cap(self, cap, rows):
+        # One row per block when a single row of 4 distances exceeds the cap.
+        a = np.arange(14.0).reshape(7, 2)
+        with mock.patch.object(mechanisms, "_BLOCK_VALUES", cap):
+            spans = [(lo, hi, block.shape) for lo, hi, block in
+                     mechanisms._squared_distance_blocks(a, a[:4])]
+        bounds = [(lo, min(lo + rows, 7)) for lo in range(0, 7, rows)]
+        assert spans == [(lo, hi, (hi - lo, 4)) for lo, hi in bounds]
+
+    def test_knn_ratio_memory_bounded(self):
+        gen = np.random.default_rng(0)
+        x1 = gen.normal(size=(3000, 5))
+        x2 = gen.normal(0.3, 1.0, size=(3000, 5))
+        tracemalloc.start()
+        try:
+            score_features(x1, x2, "knn-ratio")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Dense 3000 x 3000 matrices would take 72 MB each.
+        assert peak < 64e6
+
+
 class TestPlanFromScores:
     def test_top_f_with_tie_break(self):
         scored = score_features(np.array([[2.0], [3.0], [2.0]]),
@@ -334,6 +429,36 @@ class TestApplyPlan:
         removed_rows = {f"row{i}" for i in plan.removed_indices}
         expected_ids = [r for r in ds.row_ids if r not in removed_rows]
         assert list(out.row_ids) == expected_ids
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_only_planned_forget_rows_leave(self, data):
+        groups = data.draw(st.lists(st.sampled_from(["P1", "P2"]), min_size=0, max_size=30))
+        groups.insert(data.draw(st.integers(0, len(groups))), "P2")
+        n, d = len(groups), data.draw(st.integers(1, 3))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        feats = gen.normal(size=(n, d)) * (gen.random((n, d)) < 0.6)
+        if data.draw(st.booleans()):
+            feats = sp.csr_matrix(feats)
+        ds = LabeledDataset(features=feats, labels=gen.integers(0, 3, n), group=np.array(groups),
+                            row_ids=np.array([f"id{i}" for i in gen.permutation(n)], dtype=object))
+        p1, p2 = ds.p1_positions(), ds.p2_positions()
+        order = data.draw(st.permutations(range(p1.size)))
+        removed = order[:data.draw(st.integers(0, p1.size))]
+        out = apply_plan(ds, RemovalPlan(rule="norm", budget_f=len(removed),
+                                         removed_indices=removed))
+
+        def rows(dataset, positions):
+            return (mechanisms._dense(dataset.features[positions]),
+                    dataset.labels[positions], list(dataset.row_ids[positions]))
+
+        kept_p1 = np.delete(p1, removed)
+        for got, want in ((rows(out, out.p2_positions()), rows(ds, p2)),
+                          (rows(out, out.p1_positions()), rows(ds, kept_p1))):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+        assert list(out.row_ids) == list(ds.row_ids[np.sort(np.concatenate([kept_p1, p2]))])
 
     def test_out_of_range_index_rejected(self):
         ds = make_dataset(n1=3)

@@ -128,13 +128,6 @@ class TestRunGaussianSweep:
                              for budget, alpha, eps, f in cells]
         assert run_gaussian_sweep(mu2, n, n, config).rows == expected
 
-    def test_parallel_workers_match_serial(self, monkeypatch):
-        config = small_gaussian_config()
-        serial = run_gaussian_sweep(0.5, 200, 200, config)
-        monkeypatch.setenv("DISTUNLEARN_WORKERS", "4")
-        parallel = run_gaussian_sweep(0.5, 200, 200, config)
-        assert serial.rows == parallel.rows
-
 
 def feature_dataset_with_mixed_labels(n1=30, n2=90, seed=0):
     """Forget/preserve tags cut across labels, so even full forget-side
