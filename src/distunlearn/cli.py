@@ -47,16 +47,19 @@ from .sweep import (
 from .synthetic import two_cluster_corpus
 
 DEFAULT_BUDGETS = tuple(round(0.05 * i, 2) for i in range(21))
+BOUND_MECHANISMS = {"random": (bound_random, budget_random),
+                    "selective": (bound_selective, budget_selective)}
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    """Comma list of floats, or start:stop:step (inclusive stop)."""
+    """Comma list of floats, or start:stop:step (stop included when reached)."""
     text = text.strip()
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
         if step == 0.0 or not (stop - start) / step >= 0.0:
             raise ValueError(f"range {text!r}: step must be nonzero and lead from start to stop")
-        count = int(round((stop - start) / step))
+        # Floor, with a tolerance so that "0:0.3:0.1" still reaches 0.3.
+        count = int((stop - start) / step + 1e-9)
         return tuple(round(start + i * step, 10) for i in range(count + 1))
     return tuple(float(p) for p in text.split(",") if p.strip())
 
@@ -106,11 +109,9 @@ def _get(cfg, section, option, fallback=None, cast=str):
     return fallback
 
 
-def _sweep_config(cfg, args) -> SweepConfig:
-    rules = tuple(
-        r.strip() for r in _get(cfg, "sweep", "rules", "random,selective-gaussian").split(",")
-        if r.strip()
-    )
+def _sweep_config(cfg, args, default_rules="random,selective-gaussian") -> SweepConfig:
+    rules = tuple(r.strip() for r in _get(cfg, "sweep", "rules", default_rules).split(",")
+                  if r.strip())
     budgets = _get(cfg, "sweep", "budgets", (), _parse_floats) or DEFAULT_BUDGETS
     seeds = _get(cfg, "sweep", "seeds", tuple(range(5)), _parse_ints)
     master = args.seed if args.seed is not None else _get(cfg, "sweep", "master_seed", 0, int)
@@ -233,24 +234,28 @@ def _cmd_bounds(args) -> int:
     n2 = _get(cfg, "bounds", "n2", 1000, int)
     delta = _get(cfg, "bounds", "delta", 0.1, float)
     divergence = _get(cfg, "bounds", "divergence", 0.125, float)
+    # For n1 < 0 the default grid is f = 0 alone, so the bound rejects n1.
     f_values = tuple(int(f) for f in _get(cfg, "bounds", "f", None, _parse_floats)
-                     or _parse_floats(f"0:{n1}:{max(1, n1 // 20)}"))
+                     or range(0, max(n1, 0) + 1, max(1, n1 // 20)))
     mechanisms = tuple(m.strip() for m in
                        _get(cfg, "bounds", "mechanisms", "random,selective").split(","))
+    for mechanism in mechanisms:
+        if mechanism not in BOUND_MECHANISMS:
+            raise SystemExit(f"invalid bounds.mechanisms: unknown mechanism {mechanism!r}; "
+                             f"use {' or '.join(BOUND_MECHANISMS)}")
     target_alpha = _get(cfg, "bounds", "target_alpha", None, float)
     target_epsilon = _get(cfg, "bounds", "target_epsilon", None, float)
     rows = []
     for mechanism in mechanisms:
-        evaluator = bound_random if mechanism == "random" else bound_selective
+        evaluator, solver = BOUND_MECHANISMS[mechanism]
         for f in f_values:
-            b = evaluator(n1, n2, int(f), delta, divergence)
+            b = evaluator(n1, n2, f, delta, divergence)
             rows.append({
-                "mechanism": mechanism, "f": int(f),
+                "mechanism": mechanism, "f": f,
                 "alpha_lower": b.alpha_lower, "epsilon_upper": b.epsilon_upper,
                 "vacuous": b.vacuous, "binding_constraint": "",
             })
         if target_alpha is not None and target_epsilon is not None:
-            solver = budget_random if mechanism == "random" else budget_selective
             budget = solver(n1, n2, delta, divergence, target_alpha, target_epsilon)
             if budget.applicable:
                 b = evaluator(n1, n2, budget.f, delta, divergence)
@@ -319,13 +324,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args)
-    sweep_cfg = _sweep_config(cfg, args)
-    if sweep_cfg.rules == ("random", "selective-gaussian"):
-        sweep_cfg = SweepConfig(
-            rules=("random", "lr-cos"), budget_fractions=sweep_cfg.budget_fractions,
-            seeds=sweep_cfg.seeds, master_seed=sweep_cfg.master_seed,
-            scoring=sweep_cfg.scoring,
-        )
+    sweep_cfg = _sweep_config(cfg, args, default_rules="random,lr-cos")
     source = _load_dataset(cfg)
     pipeline = _pipeline_config(cfg)
     result = run_dataset_sweep(source, pipeline, sweep_cfg)
@@ -364,7 +363,10 @@ def main(argv=None) -> int:
                        help="exit 0 even if some sweep cells failed")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # a value the library rejects, e.g. gaussian.n1=0
+        raise SystemExit(f"invalid {args.command} input: {exc}") from exc
 
 
 if __name__ == "__main__":

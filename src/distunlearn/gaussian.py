@@ -218,14 +218,12 @@ def g_inverse(p: float, kappa: float) -> float:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if not (kappa >= 0.0 and math.isfinite(kappa)):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    c = math.sqrt(2.0 * kappa)
-    hi = c + norm_quantile(1.0 - (1.0 - p) / 4.0) + 10.0
-    # The bracket above always contains the quantile; the guard loop is pure
-    # paranoia against pathological rounding.
-    for _ in range(64):
-        if g_folded(hi, kappa) >= p:
-            break
-        hi *= 2.0
+    # With c = sqrt(2 kappa), g(hi) >= 2 Phi(hi - c) - 1 > 1 - (1-p)/2 > p.
+    # In floats Phi(hi - c) at hi - c >= 10.6 rounds to 1, so g(hi) clamps to
+    # 1 - 2**-53 >= p.  The cap keeps the quantile argument below 1 for p
+    # within 2**-52 of 1.
+    top = min(1.0 - (1.0 - p) / 4.0, 1.0 - 2.0**-53)
+    hi = math.sqrt(2.0 * kappa) + norm_quantile(top) + 10.0
     lo = 0.0
     for _ in range(200):
         if hi - lo <= 1e-12:

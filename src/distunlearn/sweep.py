@@ -32,7 +32,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,9 +160,6 @@ class SweepResult:
                 return row
         raise KeyError((rule, budget, seed))
 
-    def budgets(self) -> list[float]:
-        return sorted({row.budget_fraction for row in self.rows})
-
     def n_failed(self) -> int:
         return sum(row.failed for row in self.rows)
 
@@ -194,6 +191,22 @@ class SweepResult:
         return out
 
 
+def _budget_plans(config: SweepConfig, rule: str, n1: int, seed: int,
+                  ranked: np.ndarray | None):
+    """Yield ``(budget_idx, budget, f, removed)`` for every budget of a
+    (rule, seed): a fresh random draw per budget for ``random``, else the
+    first f rows of the seed's ``ranked`` forget rows."""
+    for b_idx, budget in enumerate(config.budget_fractions):
+        f = int(round(budget * n1))
+        if rule == "random":
+            removed = random_removal(
+                n1, f, derive_seed(config.master_seed, "plan", rule, b_idx, seed)
+            ).removed_indices
+        else:
+            removed = ranked[:f]
+        yield b_idx, budget, f, removed
+
+
 # ---------------------------------------------------------------------------
 # Gaussian sweep
 # ---------------------------------------------------------------------------
@@ -217,42 +230,27 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
     p1_true = GaussianModel.univariate(0.0, 1.0)
     p2_true = GaussianModel.univariate(mu2, 1.0)
 
+    has_full = config.budget_fractions[-1] == 1.0  # budgets ascend
     rows = []
     for seed in sorted(set(config.seeds)):
         gen = rnglib.generator(config.master_seed, "samples", seed)
         x1 = gen.normal(0.0, 1.0, n1)
         x2 = gen.normal(mu2, 1.0, n2)
         for rule in config.rules:
-            if rule == "selective-gaussian":
-                ranked = selective_removal_gaussian(x1, x2, n1).removed_indices
-            for b_idx, budget in enumerate(config.budget_fractions):
-                f = int(round(budget * n1))
-                if rule == "random":
-                    removed = random_removal(
-                        n1, f, derive_seed(config.master_seed, "plan", rule, b_idx, seed)
-                    ).removed_indices
-                else:
-                    removed = ranked[:f]
-                kept = np.delete(x1, removed)
-                fit = pooled_mle(kept, x2, 1.0)
-                rows.append(CellResult(
-                    rule=rule, budget_fraction=budget, seed=seed,
-                    metrics={
-                        "alpha": kl_gaussian(p1_true, fit),
-                        "epsilon": kl_gaussian(p2_true, fit),
-                        "f": float(f),
-                    },
-                ))
-    metric_names = ("alpha", "epsilon", "f")
-    if 1.0 in config.budget_fractions:
-        full = {(r.rule, r.seed): r.metrics["alpha"]
-                for r in rows if r.budget_fraction == 1.0}
-        rows = [
-            replace(r, metrics={**r.metrics,
-                                "alpha_remaining": full[(r.rule, r.seed)] - r.metrics["alpha"]})
-            for r in rows
-        ]
-        metric_names = metric_names + ("alpha_remaining",)
+            ranked = (selective_removal_gaussian(x1, x2, n1).removed_indices
+                      if rule == "selective-gaussian" else None)
+            cells = []
+            for _, budget, f, removed in _budget_plans(config, rule, n1, seed, ranked):
+                fit = pooled_mle(np.delete(x1, removed), x2, 1.0)
+                metrics = {"alpha": kl_gaussian(p1_true, fit),
+                           "epsilon": kl_gaussian(p2_true, fit), "f": float(f)}
+                cells.append(CellResult(rule, budget, seed, metrics))
+            if has_full:  # the last cell deleted every forget sample
+                full = cells[-1].metrics["alpha"]
+                for cell in cells:
+                    cell.metrics["alpha_remaining"] = full - cell.metrics["alpha"]
+            rows += cells
+    metric_names = ("alpha", "epsilon", "f") + (("alpha_remaining",) if has_full else ())
     return SweepResult(rows=rows, metric_names=metric_names)
 
 
@@ -261,35 +259,20 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
 # ---------------------------------------------------------------------------
 
 
-def _corpus_groups(corpus: TextCorpus, p1_label: int) -> np.ndarray:
-    labels = np.asarray(corpus.labels)
-    return np.where(labels == p1_label, P1, P2)
-
-
-def _prepare_seed_text(corpus: TextCorpus, pipeline: PipelineConfig,
-                       master_seed: int, seed: int):
+def _prepare_seed_text(corpus: TextCorpus, pipeline: PipelineConfig, split_seed: int):
     labels = np.asarray(corpus.labels, dtype=int)
-    group = _corpus_groups(corpus, pipeline.p1_label)
-    train_pos, val_pos = split_row_positions(
-        group, labels, pipeline.train_fraction, derive_seed(master_seed, "split", seed))
+    group = np.where(labels == pipeline.p1_label, P1, P2)
+    train_pos, val_pos = split_row_positions(group, labels, pipeline.train_fraction, split_seed)
     texts = np.asarray(corpus.texts, dtype=object)
     ids = np.asarray(corpus.ids, dtype=object)
     vec = TfidfVectorizer(pipeline.tfidf)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        x_train = vec.fit_transform(texts[train_pos])
-        x_val = vec.transform(texts[val_pos])
+    x_train = vec.fit_transform(texts[train_pos])
+    x_val = vec.transform(texts[val_pos])
     train = LabeledDataset(features=x_train, labels=labels[train_pos],
                            group=group[train_pos], row_ids=ids[train_pos])
     val = LabeledDataset(features=x_val, labels=labels[val_pos],
                          group=group[val_pos], row_ids=ids[val_pos])
     return train, val
-
-
-def _prepare_seed_features(dataset: LabeledDataset, pipeline: PipelineConfig,
-                           master_seed: int, seed: int):
-    return split_stratified(dataset, pipeline.train_fraction,
-                            derive_seed(master_seed, "split", seed))
 
 
 def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineConfig,
@@ -309,40 +292,32 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
 
     rows = []
     for seed in sorted(set(config.seeds)):
+        split_seed = derive_seed(config.master_seed, "split", seed)
         if isinstance(source, TextCorpus):
-            train, val = _prepare_seed_text(source, pipeline, config.master_seed, seed)
+            train, val = _prepare_seed_text(source, pipeline, split_seed)
         else:
-            train, val = _prepare_seed_features(source, pipeline, config.master_seed, seed)
+            train, val = split_stratified(source, pipeline.train_fraction, split_seed)
         p1_pos = train.p1_positions()
         p2_pos = train.p2_positions()
         n1_train = p1_pos.size
         for rule in config.rules:
             ranked = None
-            score_error: str | None = None
             if rule != "random":
                 try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        scored = score_features(train.features[p1_pos],
-                                                train.features[p2_pos],
-                                                rule, config.scoring)
+                    scored = score_features(train.features[p1_pos],
+                                            train.features[p2_pos],
+                                            rule, config.scoring)
                     ranked = plan_from_scores(scored, rule, n1_train).removed_indices
                 except ValueError as exc:
-                    score_error = f"scoring failed: {exc}"
-            for b_idx, budget in enumerate(config.budget_fractions):
-                if score_error is not None:
-                    rows.append(CellResult(rule=rule, budget_fraction=budget, seed=seed,
-                                           metrics={}, failed=True, failure_reason=score_error))
+                    rows += [CellResult(rule=rule, budget_fraction=budget, seed=seed,
+                                        metrics={}, failed=True,
+                                        failure_reason=f"scoring failed: {exc}")
+                             for budget in config.budget_fractions]
                     continue
-                f = int(round(budget * n1_train))
+            for b_idx, budget, f, removed in _budget_plans(config, rule, n1_train, seed, ranked):
                 try:
-                    if rule == "random":
-                        plan = random_removal(
-                            n1_train, f,
-                            derive_seed(config.master_seed, "plan", rule, b_idx, seed))
-                    else:
-                        plan = RemovalPlan(rule=rule, budget_f=f, removed_indices=ranked[:f])
-                    edited = apply_plan(train, plan)
+                    edited = apply_plan(train, RemovalPlan(rule=rule, budget_f=f,
+                                                           removed_indices=removed))
                     reduced = downsample_p2(
                         edited, pipeline.downsample_ratio,
                         derive_seed(config.master_seed, "downsample", rule, b_idx, seed))
@@ -438,25 +413,11 @@ def saving(result: SweepResult, baseline_rule: str, rule: str, metric: str) -> f
 def _format_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return f"{value:.17g}"
     return str(value)
-
-
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return json.dumps(str(value))
-        return f"{value:.17g}"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return json.dumps(str(value))
 
 
 def result_rows(result: SweepResult) -> tuple[list[str], list[dict]]:
@@ -482,9 +443,13 @@ def result_rows(result: SweepResult) -> tuple[list[str], list[dict]]:
 def emit(data, format: str, path, fieldnames: list[str] | None = None) -> None:
     """Write a sweep result or a sequence of row mappings to disk.
 
-    Bit-deterministic: fixed column order, floats at 17 significant digits,
-    LF line endings, and CSV quotes only fields holding a comma, a double
-    quote or a newline.  ``format`` is ``csv`` or ``json-lines``.
+    Bit-deterministic: fixed column order and LF line endings.  CSV writes
+    floats at 17 significant digits and quotes only fields holding a comma,
+    a double quote or a newline (every field of a row holding a carriage
+    return).  JSON-lines writes one ``json.dumps`` object
+    per row: floats in their shortest round-trip form, non-finite floats as
+    ``NaN``, ``Infinity`` and ``-Infinity``.  ``format`` is ``csv`` or
+    ``json-lines``.
     """
     if isinstance(data, SweepResult):
         fields, rows = result_rows(data)
@@ -502,13 +467,16 @@ def emit(data, format: str, path, fieldnames: list[str] | None = None) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if format == "csv":
                 writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+                # QUOTE_MINIMAL does not quote a bare carriage return, which
+                # readers take for a line end, so such a row is quoted whole.
+                quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
                 writer.writerow(fields)
                 for row in rows:
-                    writer.writerow([_format_value(row.get(name)) for name in fields])
+                    cells = [_format_value(row.get(name)) for name in fields]
+                    (quoted if any("\r" in c for c in cells) else writer).writerow(cells)
             else:
                 for row in rows:
-                    parts = [f"{json.dumps(name)}: {_json_scalar(row.get(name))}"
-                             for name in fields]
-                    fh.write("{" + ", ".join(parts) + "}\n")
+                    record = {name: row.get(name) for name in fields}
+                    fh.write(json.dumps(record, default=np.generic.item) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc

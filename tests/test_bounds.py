@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from distunlearn.bounds import (
@@ -42,6 +44,18 @@ class TestBoundRandom:
             bound_random(10, 10, 11, 0.1, 1.0)
         with pytest.raises(ValueError):
             bound_random(10, 10, 0, 1.5, 1.0)
+
+
+@given(st.sampled_from([bound_random, bound_selective]), st.integers(1, 10**6),
+       st.integers(1, 10**6), st.floats(1e-3, 0.5), st.floats(0.0, 50.0), st.data())
+@settings(max_examples=300, deadline=None)
+def test_bounds_monotone_in_budget_where_applicable(bound, n1, n2, delta, divergence, data):
+    f = data.draw(st.integers(0, n1 - 1), label="f")
+    f_next = f + data.draw(st.integers(1, n1 - f), label="f' - f")
+    small, large = bound(n1, n2, f, delta, divergence), bound(n1, n2, f_next, delta, divergence)
+    assume(small.applicable and large.applicable)
+    assert small.alpha_lower <= large.alpha_lower
+    assert small.epsilon_upper >= large.epsilon_upper
 
 
 class TestBoundSelective:

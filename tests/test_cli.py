@@ -13,6 +13,11 @@ class TestParseFloats:
         assert _parse_floats("0:1:0.5") == (0.0, 0.5, 1.0)
         assert _parse_floats("1:0:-0.5") == (1.0, 0.5, 0.0)
 
+    def test_ranges_never_pass_their_stop(self):
+        assert _parse_floats("0:59:2")[-1] == 58.0
+        assert _parse_floats("0:0.3:0.1")[-1] == 0.3
+        assert _parse_floats("1:0.25:-0.25") == (1.0, 0.75, 0.5, 0.25)
+
     @pytest.mark.parametrize("spec", ["0:1:0", "0:1:-0.5", "1:0:0.5"])
     def test_bad_step_names_the_spec(self, spec):
         with pytest.raises(ValueError, match=spec):
@@ -27,6 +32,13 @@ class TestConfigErrors:
         (["simulate", "--set", "sweep.budgets=0.5,0.1"], ["[sweep]", "sorted"]),
         (["frontier", "--set", "frontier.family=bernoulli", "--set", "frontier.q1=1.5"],
          ["[frontier]", "1.5"]),
+        # values that pass parsing but that the library or the command rejects
+        (["simulate", "--set", "gaussian.n1=0"], ["simulate input", "n1 >= 1"]),
+        (["bounds", "--set", "bounds.mechanisms=random,randm"],
+         ["bounds.mechanisms", "'randm'"]),
+        (["experiment", "--set", "dataset.kind=synthetic",
+          "--set", "sweep.rules=random,selective-gaussian"],
+         ["experiment input", "'selective-gaussian'"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
@@ -75,6 +87,13 @@ class TestBoundsCommand:
         assert lines[0] == "mechanism,f,alpha_lower,epsilon_upper,vacuous,binding_constraint"
         budget_rows = [l for l in lines[1:] if l.split(",")[-1] != ""]
         assert len(budget_rows) == 2  # one solved budget per mechanism
+
+
+    def test_default_grid_for_odd_n1_stops_at_n1(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--set", "bounds.n1=59", "--out", str(out)]) == 0
+        f_values = [int(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert f_values == list(range(0, 59, 2)) * 2
 
 
 class TestSimulateCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from distunlearn.gaussian import (
     FoldedNormalSpec,
@@ -214,6 +215,21 @@ class TestGInverse:
         for p in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 g_inverse(p, 1.0)
+
+    def test_initial_bracket_contains_the_quantile(self):
+        # About 145 x 147 (p, kappa) pairs, out to p = 1 - 2**-53 and kappa = 1e8.
+        ps = np.unique(np.concatenate([np.logspace(-300, -2, 49), np.linspace(0.01, 0.99, 49),
+                                       1.0 - np.logspace(-2, math.log10(2.0**-53), 49)]))
+        kappas = np.concatenate([[0.0], np.logspace(-12, 8, 146)])
+        assert ps[0] > 0.0 and ps[-1] == 1.0 - 2.0**-53
+        for p in ps:
+            top = min(1.0 - (1.0 - p) / 4.0, 1.0 - 2.0**-53)
+            for kappa in kappas:
+                hi = math.sqrt(2.0 * kappa) + float(ndtri(top)) + 10.0
+                assert g_folded(hi, kappa) >= p, (p, kappa)
+        for p in np.append(ps[::7], ps[-2:]):  # the last two need the cap
+            for kappa in kappas[::7]:
+                assert abs(g_folded(g_inverse(p, kappa), kappa) - p) <= 1e-12, (p, kappa)
 
     @given(st.floats(0.01, 0.99), st.floats(0.0, 20.0))
     @settings(max_examples=150, deadline=None)

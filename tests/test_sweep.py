@@ -2,11 +2,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distunlearn import rng as rnglib
 from distunlearn.data_io import LabeledDataset, TfidfConfig
 from distunlearn.gaussian import GaussianModel, kl_gaussian, pooled_mle
-from distunlearn.mechanisms import random_removal, selective_removal_gaussian
+from distunlearn.mechanisms import ScoringParams, random_removal, selective_removal_gaussian
 from distunlearn.sweep import (
     CellResult,
     PipelineConfig,
@@ -182,6 +184,31 @@ class TestRunDatasetSweep:
         assert "single class" in full.failure_reason
         assert not result.cell("random", 0.0, 0).failed
 
+    def test_zero_norm_warning_reaches_the_caller(self):
+        ds = feature_dataset_with_mixed_labels()
+        features = ds.features.copy()
+        features[:10] = 0.0  # a third of the forget rows, so some land in train
+        ds = LabeledDataset(features=features, labels=ds.labels, group=ds.group,
+                            row_ids=ds.row_ids)
+        config = SweepConfig(rules=("cos-mu2",), budget_fractions=(0.0, 0.5),
+                             seeds=(0,), master_seed=0)
+        with pytest.warns(UserWarning, match="zero-norm"):
+            result = run_dataset_sweep(ds, PipelineConfig(l2_strength=1e-3, max_iter=300), config)
+        assert result.n_failed() == 0
+
+    def test_scoring_failure_fails_every_budget_of_that_rule(self):
+        ds = feature_dataset_with_mixed_labels()
+        config = SweepConfig(rules=("random", "knn-ratio"), budget_fractions=(0.0, 0.5, 1.0),
+                             seeds=(0, 1), master_seed=0, scoring=ScoringParams(k=10**6))
+        result = run_dataset_sweep(ds, PipelineConfig(l2_strength=1e-3, max_iter=300), config)
+        assert len(result.rows) == 12
+        for row in result.rows:
+            if row.rule == "knn-ratio":
+                assert row.failed and row.metrics == {}
+                assert row.failure_reason.startswith(f"scoring failed: k={10**6} ")
+            else:
+                assert not row.failed and row.metrics["recall_p1"] is not None
+
     def test_deterministic_rerun(self):
         corpus = two_cluster_corpus(n_p1=30, n_p2=120, seed=7)
         config = SweepConfig(rules=("random", "lr-cos"),
@@ -315,6 +342,40 @@ class TestEmit:
              fieldnames=["a", "b", "c", "d"])
         record = json.loads(path.read_text().splitlines()[0])
         assert record == {"a": 1.5, "b": "text", "c": None, "d": True}
+
+    @given(st.lists(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                              st.text(), st.booleans().map(np.bool_),
+                              st.integers(-2**63, 2**63 - 1).map(np.int64),
+                              st.floats().map(np.float64), st.floats(width=32).map(np.float32)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_both_formats(self, tmp_path_factory, values):
+        import json
+
+        fields = [f"c{i}" for i in range(len(values))]
+        expected = [v.item() if isinstance(v, np.generic) else v for v in values]
+        directory = tmp_path_factory.mktemp("emit")
+        emit([dict(zip(fields, values))], "json-lines", directory / "out.jsonl",
+             fieldnames=fields)
+        emit([dict(zip(fields, values))], "csv", directory / "out.csv", fieldnames=fields)
+        lines = (directory / "out.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert list(record) == fields
+        with open(directory / "out.csv", newline="", encoding="utf-8") as fh:
+            header, cells = list(csv.reader(fh))
+        assert header == fields
+        for want, got, cell in zip(expected, record.values(), cells):
+            # CSV carries no types: each column is read as its writer's type.
+            if want is None:
+                from_csv = None if cell == "" else cell
+            elif isinstance(want, bool):
+                from_csv = {"true": True, "false": False}.get(cell, cell)
+            else:
+                from_csv = type(want)(cell)
+            for parsed in (got, from_csv):
+                assert type(parsed) is type(want)
+                assert parsed == want or (want != want and parsed != parsed)
 
     def test_seventeen_digit_floats(self, tmp_path):
         value = 0.1234567890123456789
