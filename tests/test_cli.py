@@ -36,6 +36,8 @@ class TestConfigErrors:
         (["simulate", "--set", "gaussian.n1=0"], ["simulate input", "n1 >= 1"]),
         (["bounds", "--set", "bounds.mechanisms=random,randm"],
          ["bounds.mechanisms", "'randm'"]),
+        (["bounds", "--set", "bounds.f=2.5,3.9", "--set", "bounds.mechanisms=random"],
+         ["bounds input", "bounds.f", "2.5"]),
         (["experiment", "--set", "dataset.kind=synthetic",
           "--set", "sweep.rules=random,selective-gaussian"],
          ["experiment input", "'selective-gaussian'"]),

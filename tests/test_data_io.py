@@ -11,15 +11,18 @@ from distunlearn.data_io import (
     TextCorpus,
     TfidfConfig,
     TfidfVectorizer,
+    _unescape_text,
     downsample_p2,
     load_features_csv,
     load_text_tsv,
     read_schema_file,
+    split_row_positions,
     split_stratified,
     tfidf_fit_transform,
     write_text_tsv,
 )
 from distunlearn.stopwords import ENGLISH_STOPWORDS
+from distunlearn.synthetic import two_cluster_corpus
 
 
 def write_csv(path, text):
@@ -164,6 +167,29 @@ class TestTfidf:
     def test_stopword_list_size(self):
         assert len(ENGLISH_STOPWORDS) == 179
 
+    def test_refit_matches_fresh_vectorizer(self):
+        # One vectorizer refitted on three train splits, as a sweep does per
+        # seed: everything equals what a fresh vectorizer per split gives.
+        corpus = two_cluster_corpus(n_p1=20, n_p2=60, seed=4)
+        texts = np.asarray(corpus.texts, dtype=object)
+        labels = np.asarray(corpus.labels)
+        group = np.where(labels == 1, "P1", "P2")
+        docs = list(texts) + ["", "zzz qqq"]  # no in-vocabulary terms
+        config = TfidfConfig(max_features=40, ngram_max=2, min_df=2)
+        shared = TfidfVectorizer(config)
+        for seed in range(3):
+            train_pos, _ = split_row_positions(group, labels, 0.7, seed)
+            fresh = TfidfVectorizer(config).fit(texts[train_pos])
+            with pytest.warns(UserWarning, match="no in-vocabulary terms"):
+                want = fresh.transform(docs)
+            shared.fit(texts[train_pos])
+            with pytest.warns(UserWarning, match="no in-vocabulary terms"):
+                got = shared.transform(docs)
+            assert shared.vocabulary == fresh.vocabulary
+            assert shared.idf.tobytes() == fresh.idf.tobytes()
+            for part in ("data", "indices", "indptr"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
 
 class TestTextTsv:
     def test_round_trip_with_escapes(self, tmp_path):
@@ -187,6 +213,28 @@ class TestTextTsv:
         path.write_text("a\tspam\thello\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-integer label"):
             load_text_tsv(path)
+
+    @given(st.text(alphabet=["\\", "t", "n", "x", "\t", "\n"], max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_unescape_matches_reference_loop(self, text):
+        def reference(text):  # a plain per-character scan
+            out = []
+            i = 0
+            while i < len(text):
+                ch = text[i]
+                if ch == "\\" and i + 1 < len(text):
+                    nxt = text[i + 1]
+                    if nxt == "t":
+                        out.append("\t"); i += 2; continue
+                    if nxt == "n":
+                        out.append("\n"); i += 2; continue
+                    if nxt == "\\":
+                        out.append("\\"); i += 2; continue
+                out.append(ch)
+                i += 1
+            return "".join(out)
+
+        assert _unescape_text(text) == reference(text)
 
 
 def toy_dataset(n_per_stratum):
@@ -295,6 +343,10 @@ class TestLabeledDataset:
         sub = ds.subset([1, 3])
         assert sub.n == 2
         np.testing.assert_array_equal(sub.features.toarray(), feats.toarray()[[1, 3]])
+        assert sub.labels.tolist() == [1, 1] and sub.group.tolist() == ["P1", "P2"]
+        assert sub.row_ids.tolist() == ["b", "d"]
+        with pytest.raises(ValueError, match="at least one row"):
+            ds.subset([])
 
     @given(st.integers(2, 30), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)

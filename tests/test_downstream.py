@@ -279,6 +279,45 @@ class TestTrainLogistic:
         assert peak < 64e6
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_own_optimum_needs_no_iterations(self, classes):
+        ds = two_class_dataset(n=60, seed=12, separation=1.0)
+        if classes == 3:
+            labels = ds.labels.copy()
+            labels[::3] = 2
+            ds = LabeledDataset(features=ds.features, labels=labels, group=ds.group,
+                                row_ids=ds.row_ids)
+        cold = train_logistic(ds, 0.05, max_iter=500, tol=1e-8)
+        warm = train_logistic(ds, 0.05, max_iter=500, tol=1e-8, init=cold)
+        assert cold.training_meta.converged and cold.training_meta.iterations > 0
+        assert warm.training_meta.iterations == 0 and warm.training_meta.converged
+        assert warm.weights.tobytes() == cold.weights.tobytes()
+        assert warm.bias.tobytes() == cold.bias.tobytes()
+
+    def test_edited_set_reaches_the_cold_optimum(self):
+        ds = two_class_dataset(n=80, seed=13, separation=1.0)
+        before = train_logistic(ds, 0.01, max_iter=500, tol=1e-9)
+        edited = ds.subset(np.setdiff1d(np.arange(ds.n), np.arange(40, 52)))
+        cold = train_logistic(edited, 0.01, max_iter=500, tol=1e-9)
+        warm = train_logistic(edited, 0.01, max_iter=500, tol=1e-9, init=before)
+        assert cold.training_meta.converged and warm.training_meta.converged
+        np.testing.assert_allclose(warm.weights, cold.weights, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(warm.bias, cold.bias, rtol=0, atol=1e-5)
+
+    def test_mismatched_init_rejected(self):
+        ds = two_class_dataset(n=40, d=5, seed=14)
+        model = train_logistic(ds, 0.1)
+        narrow = LabeledDataset(features=ds.features[:, :4], labels=ds.labels,
+                                group=ds.group, row_ids=ds.row_ids)
+        with pytest.raises(ValueError, match="init has 5 features, the training set has 4"):
+            train_logistic(narrow, 0.1, init=model)
+        relabeled = LabeledDataset(features=ds.features, labels=ds.labels + 1,
+                                   group=ds.group, row_ids=ds.row_ids)
+        with pytest.raises(ValueError, match=r"init classes \[0, 1\] differ .* \[1, 2\]"):
+            train_logistic(relabeled, 0.1, init=model)
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         ds = two_class_dataset(n=40, d=4, seed=6, separation=8.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distunlearn import rng as rnglib
+from distunlearn import sweep
 from distunlearn.data_io import LabeledDataset, TfidfConfig
 from distunlearn.gaussian import GaussianModel, kl_gaussian, pooled_mle
 from distunlearn.mechanisms import ScoringParams, random_removal, selective_removal_gaussian
@@ -208,6 +209,57 @@ class TestRunDatasetSweep:
                 assert row.failure_reason.startswith(f"scoring failed: k={10**6} ")
             else:
                 assert not row.failed and row.metrics["recall_p1"] is not None
+
+    @staticmethod
+    def record_warm_starts(monkeypatch, cold=False):
+        """Route the sweep's training through a wrapper that records whether
+        each fit got a warm start; ``cold=True`` also drops it."""
+        original = sweep.train_logistic
+        warm = []
+
+        def train(*args, init=None, **kwargs):
+            warm.append(init is not None)
+            return original(*args, init=None if cold else init, **kwargs)
+
+        monkeypatch.setattr(sweep, "train_logistic", train)
+        return warm
+
+    def test_warm_and_cold_chains_agree(self, monkeypatch):
+        # the criterion-11 text fixture
+        corpus = two_cluster_corpus(n_p1=40, n_p2=160, seed=2)
+        config = SweepConfig(rules=("random", "lr-cos"), budget_fractions=(0.0, 0.5),
+                             seeds=(0, 1), master_seed=11)
+        pipeline = PipelineConfig(tfidf=TfidfConfig(max_features=400, ngram_max=1),
+                                  l2_strength=1e-3, max_iter=120)
+        with monkeypatch.context() as patch:
+            warm_starts = self.record_warm_starts(patch)
+            warm = run_dataset_sweep(corpus, pipeline, config)
+        # each (seed, rule) chain starts from zero, then from its last optimum
+        assert warm_starts == [False, True] * 4
+        self.record_warm_starts(monkeypatch, cold=True)
+        cold = run_dataset_sweep(corpus, pipeline, config)
+        assert len(warm.rows) == len(cold.rows) == 8
+        # Both fits stop at gradient norm <= tol (1e-6 here), so log-loss
+        # agrees to the order of tol; the largest gap measured is 1.8e-6.
+        for a, b in zip(warm.rows, cold.rows):
+            assert (a.rule, a.budget_fraction, a.seed) == (b.rule, b.budget_fraction, b.seed)
+            assert a.metrics["recall_p1"] == b.metrics["recall_p1"]
+            assert a.metrics["macro_f1_p2"] == b.metrics["macro_f1_p2"]
+            assert abs(a.metrics["logloss"] - b.metrics["logloss"]) <= 10 * pipeline.tol
+
+    def test_class_change_restarts_from_zero(self, monkeypatch):
+        # class 2 occurs only among forget rows, so full deletion drops it
+        ds = feature_dataset_with_mixed_labels()
+        labels = ds.labels.copy()
+        labels[:30:3] = 2
+        ds = LabeledDataset(features=ds.features, labels=labels, group=ds.group,
+                            row_ids=ds.row_ids)
+        config = SweepConfig(rules=("random",), budget_fractions=(0.0, 0.5, 1.0),
+                             seeds=(0,), master_seed=0)
+        warm_starts = self.record_warm_starts(monkeypatch)
+        result = run_dataset_sweep(ds, PipelineConfig(l2_strength=1e-3, max_iter=300), config)
+        assert result.n_failed() == 0
+        assert warm_starts == [False, True, False]
 
     def test_deterministic_rerun(self):
         corpus = two_cluster_corpus(n_p1=30, n_p2=120, seed=7)
