@@ -77,9 +77,10 @@ class BudgetResult:
     ``binding`` is one of removal / preservation / floor / consistency /
     clamp-low / clamp-high.  ``components`` holds the raw real-valued lower
     bounds before ceiling and clamping.  When the closed forms'
-    applicability conditions fail, ``applicable`` is False and ``reason``
-    says why; the formula values are still reported for inspection but carry
-    no guarantee.
+    applicability conditions fail, or when no f <= n1 meets both targets
+    under the exact bound, ``applicable`` is False and ``reason`` says why;
+    the formula values are still reported for inspection but carry no
+    guarantee.
     """
 
     f: int
@@ -195,11 +196,14 @@ def _ceil_clamp(components: dict[str, float], n1: int) -> tuple[int, str]:
     return f, binding
 
 
-def _finalize_budget(components: dict[str, float], n1: int, evaluate,
+def _finalize_budget(components: dict[str, float], n1: int, evaluate, exact: str,
                      target_alpha: float, target_epsilon: float) -> BudgetResult:
     f, binding = _ceil_clamp(components, n1)
     consistent = _consistency_floor(evaluate, n1, f, target_alpha, target_epsilon)
-    if consistent is not None and consistent > f:
+    if consistent is None:
+        return BudgetResult(f=f, applicable=False, binding="inapplicable", components=components,
+                            reason=f"no f <= n1={n1} meets both targets under {exact}")
+    if consistent > f:
         f, binding = consistent, "consistency"
     return BudgetResult(f=f, applicable=True, binding=binding, components=components)
 
@@ -239,7 +243,8 @@ def budget_random(n1: int, n2: int, delta: float, divergence_D: float,
         return BudgetResult(f=f, applicable=False, binding="inapplicable",
                             components=components, reason="; ".join(reasons))
     evaluate = lambda f: bound_random(n1, n2, f, delta, divergence_D)
-    return _finalize_budget(components, n1, evaluate, target_alpha, target_epsilon)
+    return _finalize_budget(components, n1, evaluate, "bound_random",
+                            target_alpha, target_epsilon)
 
 
 def budget_selective(n1: int, n2: int, delta: float, divergence_D: float,
@@ -286,4 +291,5 @@ def budget_selective(n1: int, n2: int, delta: float, divergence_D: float,
                             binding="inapplicable", components=components,
                             reason="; ".join(reasons))
     evaluate = lambda f: bound_selective(n1, n2, f, delta, divergence_D)
-    return _finalize_budget(components, n1, evaluate, target_alpha, target_epsilon)
+    return _finalize_budget(components, n1, evaluate, "bound_selective",
+                            target_alpha, target_epsilon)

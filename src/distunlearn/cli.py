@@ -11,10 +11,10 @@ Five subcommands, one per kind of output:
 - ``experiment`` : full dataset sweeps (TF-IDF + logistic pipeline)
 
 Each subcommand reads an INI-style config file (UTF-8 ``key = value`` lines
-grouped into sections; see README for the key list) and accepts repeated
-``--set section.key=value`` overrides plus a few dedicated flags.  ``--seed``
-overrides the master seed.  Exit code is 0 on success and 1 when any sweep
-cell failed, unless ``--allow-partial`` is given.
+grouped into sections, with the keys that ``KEYS`` declares) and accepts
+repeated ``--set section.key=value`` overrides plus a few dedicated flags.
+``--seed`` overrides the master seed.  Exit code is 0 on success and 1 when
+any sweep cell failed, unless ``--allow-partial`` is given.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .bounds import bound_random, bound_selective, budget_random, budget_selective
 from .data_io import (
     TfidfConfig,
+    TfidfVectorizer,
     load_features_csv,
     load_text_tsv,
     read_schema_file,
@@ -46,7 +47,6 @@ from .sweep import (
 )
 from .synthetic import two_cluster_corpus
 
-DEFAULT_BUDGETS = tuple(round(0.05 * i, 2) for i in range(21))
 BOUND_MECHANISMS = {"random": (bound_random, budget_random),
                     "selective": (bound_selective, budget_selective)}
 
@@ -73,20 +73,58 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-def _load_config(args) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    for item in args.set or []:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise SystemExit(f"--set expects section.key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        section, option = key.split(".", 1)
-        if not parser.has_section(section.strip()):
-            parser.add_section(section.strip())
-        parser.set(section.strip(), option.strip(), value.strip())
-    return parser
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def _parse_bool(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"{text!r} is not a boolean; use one of {', '.join(states)}")
+    return states[text.lower()]
+
+
+def _one_of(*allowed: str):
+    """Parser that accepts exactly the names in ``allowed``."""
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"{text!r} is not one of {', '.join(allowed)}")
+        return text
+    return parse
+
+
+# section -> key -> (parser, default).  A list parser that returns () keeps
+# the default.  A None default means unset, and the command decides.
+KEYS = {
+    "sweep": {"rules": (_parse_names, None),
+              "budgets": (_parse_floats, tuple(round(0.05 * i, 2) for i in range(21))),
+              "seeds": (_parse_ints, tuple(range(5))), "master_seed": (int, 0)},
+    "gaussian": {"mu2": (float, 0.5), "n1": (int, 1000), "n2": (int, 1000)},
+    "dataset": {"kind": (_one_of("tsv", "csv", "synthetic"), None), "path": (str, None),
+                "schema": (str, None), "n_p1": (int, 240), "n_p2": (int, 960),
+                "seed": (int, 1), "n_specific": (int, 12), "n_shared": (int, 60),
+                "specific_frac": (float, 0.2)},
+    "tfidf": {"max_features": (int, 20000), "ngram_min": (int, 1), "ngram_max": (int, 2),
+              "sublinear_tf": (_parse_bool, True), "min_df": (int, 1),
+              "lowercase": (_parse_bool, True), "stopword_removal": (_parse_bool, False)},
+    "pipeline": {"train_fraction": (float, 0.7), "downsample_ratio": (float, 5.0),
+                 "p1_label": (int, 1)},
+    "train": {"l2_strength": (float, 1e-3), "max_iter": (int, 500), "tol": (float, 1e-6)},
+    "scoring": {"k": (int, 10), "sigma": (float, None), "ridge_scale": (float, 1e-6),
+                "seed": (int, 0), "bandwidth_cap": (int, 2048)},
+    "score": {"rule": (str, "cos-mu2")},
+    "frontier": {"family": (_one_of("gaussian", "bernoulli"), "gaussian"),
+                 "divergence": (float, None), "mu1": (float, 0.0), "mu2": (float, 2.0),
+                 "sigma2": (float, 1.0), "q1": (float, 0.3), "q2": (float, 0.7),
+                 "alphas": (_parse_floats, None)},
+    "bounds": {"n1": (int, 1000), "n2": (int, 1000), "delta": (float, 0.1),
+               "divergence": (float, 0.125), "f": (_parse_floats, None),
+               "mechanisms": (lambda text: tuple(map(_one_of(*BOUND_MECHANISMS),
+                                                     _parse_names(text))),
+                              tuple(BOUND_MECHANISMS)),
+               "target_alpha": (float, None), "target_epsilon": (float, None)},
+    "output": {"path": (str, None), "format": (_one_of("csv", "json-lines"), "csv")},
+}
 
 
 @contextlib.contextmanager
@@ -98,129 +136,102 @@ def _config_errors(where: str):
         raise SystemExit(f"invalid {where}: {exc}") from exc
 
 
-def _get(cfg, section, option, fallback=None, cast=str):
-    """A config value parsed by ``cast``, or ``fallback`` (unparsed) if unset."""
-    if cfg.has_option(section, option):
-        raw = cfg.get(section, option)
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        with _config_errors(f"{section}.{option}"):
-            return cast(raw)
-    return fallback
+def _load_config(args) -> dict[str, dict]:
+    """Section -> key -> value: each key of ``KEYS`` at its default, unless
+    the config file or a ``--set`` override (which wins) gives it a value."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    for item in args.set or []:
+        name, eq, value = item.partition("=")
+        section, dot, key = name.partition(".")
+        if not (eq and dot):
+            raise SystemExit(f"--set expects section.key=value, got {item!r}")
+        parser.read_dict({section.strip(): {key.strip(): value.strip()}})
+    cfg = {section: {key: default for key, (_, default) in keys.items()}
+           for section, keys in KEYS.items()}
+    for section in parser.sections():
+        if section not in KEYS:
+            keys = [f"{section}.{key}" for key in parser[section]]
+            raise SystemExit(f"invalid config: unknown section [{section}]"
+                             + (f" in {', '.join(keys)}" if keys else "")
+                             + f"; known: {', '.join(KEYS)}")
+        for key, raw in parser.items(section):
+            if key not in KEYS[section]:
+                raise SystemExit(f"invalid config: unknown key {section}.{key}; "
+                                 f"known: {', '.join(KEYS[section])}")
+            with _config_errors(f"{section}.{key}"):
+                value = KEYS[section][key][0](raw)
+            if value != ():
+                cfg[section][key] = value
+    return cfg
 
 
-def _sweep_config(cfg, args, default_rules="random,selective-gaussian") -> SweepConfig:
-    rules = tuple(r.strip() for r in _get(cfg, "sweep", "rules", default_rules).split(",")
-                  if r.strip())
-    budgets = _get(cfg, "sweep", "budgets", (), _parse_floats) or DEFAULT_BUDGETS
-    seeds = _get(cfg, "sweep", "seeds", tuple(range(5)), _parse_ints)
-    master = args.seed if args.seed is not None else _get(cfg, "sweep", "master_seed", 0, int)
-    scoring = ScoringParams(
-        k=_get(cfg, "scoring", "k", 10, int),
-        sigma=_get(cfg, "scoring", "sigma", None, float),
-        ridge_scale=_get(cfg, "scoring", "ridge_scale", 1e-6, float),
-        seed=_get(cfg, "scoring", "seed", 0, int),
-        bandwidth_cap=_get(cfg, "scoring", "bandwidth_cap", 2048, int),
-    )
+def _sweep_config(cfg, args, default_rules: tuple[str, ...]) -> SweepConfig:
+    sweep = cfg["sweep"]
     with _config_errors("[sweep] config"):
-        return SweepConfig(rules=rules, budget_fractions=budgets, seeds=seeds,
-                           master_seed=master, scoring=scoring)
+        return SweepConfig(
+            rules=sweep["rules"] or default_rules, budget_fractions=sweep["budgets"],
+            seeds=sweep["seeds"],
+            master_seed=sweep["master_seed"] if args.seed is None else args.seed,
+            scoring=ScoringParams(**cfg["scoring"]))
 
 
 def _tfidf_config(cfg) -> TfidfConfig:
     with _config_errors("[tfidf] config"):
-        return TfidfConfig(
-            max_features=_get(cfg, "tfidf", "max_features", 20000, int),
-            ngram_min=_get(cfg, "tfidf", "ngram_min", 1, int),
-            ngram_max=_get(cfg, "tfidf", "ngram_max", 2, int),
-            sublinear_tf=_get(cfg, "tfidf", "sublinear_tf", True, bool),
-            min_df=_get(cfg, "tfidf", "min_df", 1, int),
-            lowercase=_get(cfg, "tfidf", "lowercase", True, bool),
-            stopword_removal=_get(cfg, "tfidf", "stopword_removal", False, bool),
-        )
-
-
-def _pipeline_config(cfg) -> PipelineConfig:
-    return PipelineConfig(
-        tfidf=_tfidf_config(cfg),
-        train_fraction=_get(cfg, "pipeline", "train_fraction", 0.7, float),
-        downsample_ratio=_get(cfg, "pipeline", "downsample_ratio", 5.0, float),
-        l2_strength=_get(cfg, "train", "l2_strength", 1e-3, float),
-        max_iter=_get(cfg, "train", "max_iter", 500, int),
-        tol=_get(cfg, "train", "tol", 1e-6, float),
-        p1_label=_get(cfg, "pipeline", "p1_label", 1, int),
-    )
+        return TfidfConfig(**cfg["tfidf"])
 
 
 def _output(cfg, args):
-    path = args.out or _get(cfg, "output", "path")
+    path = args.out or cfg["output"]["path"]
     if path is None:
         raise SystemExit("no output path: pass --out or set [output] path")
-    fmt = _get(cfg, "output", "format", "csv")
-    return path, fmt
+    return path, cfg["output"]["format"]
 
 
 def _load_dataset(cfg):
-    kind = _get(cfg, "dataset", "kind")
-    if kind is None:
-        raise SystemExit("config needs [dataset] kind = tsv | csv | synthetic")
-    if kind == "tsv":
-        return load_text_tsv(_get(cfg, "dataset", "path"))
-    if kind == "csv":
-        schema_path = _get(cfg, "dataset", "schema")
-        if schema_path is None:
-            raise SystemExit("csv datasets need [dataset] schema = <sidecar path>")
-        return load_features_csv(_get(cfg, "dataset", "path"), read_schema_file(schema_path))
+    synthetic = dict(cfg["dataset"])
+    kind, path, schema = (synthetic.pop(key) for key in ("kind", "path", "schema"))
     if kind == "synthetic":
-        return two_cluster_corpus(
-            n_p1=_get(cfg, "dataset", "n_p1", 240, int),
-            n_p2=_get(cfg, "dataset", "n_p2", 960, int),
-            seed=_get(cfg, "dataset", "seed", 1, int),
-            n_specific=_get(cfg, "dataset", "n_specific", 12, int),
-            n_shared=_get(cfg, "dataset", "n_shared", 60, int),
-            specific_frac=_get(cfg, "dataset", "specific_frac", 0.2, float),
-        )
-    raise SystemExit(f"unknown dataset kind {kind!r}")
+        return two_cluster_corpus(**synthetic)
+    if kind is None:
+        raise SystemExit("invalid dataset.kind: set [dataset] kind = tsv | csv | synthetic")
+    if path is None:
+        raise SystemExit(f"invalid dataset.path: a {kind} dataset needs [dataset] path")
+    if kind == "tsv":
+        return load_text_tsv(path)
+    if schema is None:
+        raise SystemExit("invalid dataset.schema: csv datasets need [dataset] schema = "
+                         "<sidecar path>")
+    return load_features_csv(path, read_schema_file(schema))
 
 
 def _cmd_frontier(args) -> int:
     cfg = _load_config(args)
-    alphas = _get(cfg, "frontier", "alphas", (), _parse_floats) or None
-    family_kind = _get(cfg, "frontier", "family", "gaussian")
-    rows = []
-    if family_kind == "gaussian":
-        divergence = _get(cfg, "frontier", "divergence", None, float)
+    frontier = cfg["frontier"]
+    if frontier["family"] == "gaussian":
+        family = None
+        divergence = frontier["divergence"]
         if divergence is None:
-            mu1 = _get(cfg, "frontier", "mu1", 0.0, float)
-            mu2 = _get(cfg, "frontier", "mu2", 2.0, float)
-            sigma2 = _get(cfg, "frontier", "sigma2", 1.0, float)
-            divergence = (mu2 - mu1) ** 2 / (2.0 * sigma2)
-        if alphas is None:
-            alphas = tuple(round(divergence * m, 12) for m in
-                           (0.5, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0))
-        for alpha in alphas:
-            point = frontier_gaussian(divergence, alpha)
-            rows.append({
-                "alpha": point.alpha, "epsilon": point.epsilon,
-                "dominated": point.dominated, "lambda_star": None,
-                "divergence": divergence,
-            })
-    elif family_kind == "bernoulli":
-        with _config_errors("[frontier] family"):
-            fam = bernoulli_family(_get(cfg, "frontier", "q1", 0.3, float),
-                                   _get(cfg, "frontier", "q2", 0.7, float))
-        divergence = fam.divergence()
-        if alphas is None:
-            alphas = tuple(round(divergence * m, 12) for m in (1.1, 1.5, 2.0, 3.0, 5.0))
-        for alpha in alphas:
-            res = frontier_expfamily(fam, alpha)
-            rows.append({
-                "alpha": res.point.alpha, "epsilon": res.point.epsilon,
-                "dominated": res.point.dominated, "lambda_star": res.lambda_star,
-                "divergence": divergence,
-            })
+            divergence = ((frontier["mu2"] - frontier["mu1"]) ** 2
+                          / (2.0 * frontier["sigma2"]))
+        multiples = (0.5, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
     else:
-        raise SystemExit(f"unknown frontier family {family_kind!r}")
+        with _config_errors("[frontier] family"):
+            family = bernoulli_family(frontier["q1"], frontier["q2"])
+        divergence = family.divergence()
+        multiples = (1.1, 1.5, 2.0, 3.0, 5.0)
+    rows = []
+    for alpha in frontier["alphas"] or tuple(round(divergence * m, 12) for m in multiples):
+        if family is None:
+            point, lambda_star = frontier_gaussian(divergence, alpha), None
+        else:
+            res = frontier_expfamily(family, alpha)
+            point, lambda_star = res.point, res.lambda_star
+        rows.append({"alpha": point.alpha, "epsilon": point.epsilon,
+                     "dominated": point.dominated, "lambda_star": lambda_star,
+                     "divergence": divergence})
     path, fmt = _output(cfg, args)
     emit(rows, fmt, path,
          fieldnames=["alpha", "epsilon", "dominated", "lambda_star", "divergence"])
@@ -230,44 +241,28 @@ def _cmd_frontier(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    n1 = _get(cfg, "bounds", "n1", 1000, int)
-    n2 = _get(cfg, "bounds", "n2", 1000, int)
-    delta = _get(cfg, "bounds", "delta", 0.1, float)
-    divergence = _get(cfg, "bounds", "divergence", 0.125, float)
+    bounds = cfg["bounds"]
+    n1, n2, delta, divergence = (bounds[key] for key in ("n1", "n2", "delta", "divergence"))
     # For n1 < 0 the default grid is f = 0 alone, so the bound rejects n1.
-    f_grid = (_get(cfg, "bounds", "f", None, _parse_floats)
-              or range(0, max(n1, 0) + 1, max(1, n1 // 20)))
+    f_grid = bounds["f"] or range(0, max(n1, 0) + 1, max(1, n1 // 20))
     for f in f_grid:
         if not float(f).is_integer():
             raise ValueError(f"bounds.f entry {f!r} is not a whole row count")
-    f_values = tuple(int(f) for f in f_grid)
-    mechanisms = tuple(m.strip() for m in
-                       _get(cfg, "bounds", "mechanisms", "random,selective").split(","))
-    for mechanism in mechanisms:
-        if mechanism not in BOUND_MECHANISMS:
-            raise SystemExit(f"invalid bounds.mechanisms: unknown mechanism {mechanism!r}; "
-                             f"use {' or '.join(BOUND_MECHANISMS)}")
-    target_alpha = _get(cfg, "bounds", "target_alpha", None, float)
-    target_epsilon = _get(cfg, "bounds", "target_epsilon", None, float)
+    targets = (bounds["target_alpha"], bounds["target_epsilon"])
+
+    def row(mechanism, f, binding=""):
+        b = BOUND_MECHANISMS[mechanism][0](n1, n2, f, delta, divergence)
+        return {"mechanism": mechanism, "f": f, "alpha_lower": b.alpha_lower,
+                "epsilon_upper": b.epsilon_upper, "vacuous": b.vacuous,
+                "binding_constraint": binding}
+
     rows = []
-    for mechanism in mechanisms:
-        evaluator, solver = BOUND_MECHANISMS[mechanism]
-        for f in f_values:
-            b = evaluator(n1, n2, f, delta, divergence)
-            rows.append({
-                "mechanism": mechanism, "f": f,
-                "alpha_lower": b.alpha_lower, "epsilon_upper": b.epsilon_upper,
-                "vacuous": b.vacuous, "binding_constraint": "",
-            })
-        if target_alpha is not None and target_epsilon is not None:
-            budget = solver(n1, n2, delta, divergence, target_alpha, target_epsilon)
+    for mechanism in bounds["mechanisms"]:
+        rows += [row(mechanism, int(f)) for f in f_grid]
+        if None not in targets:
+            budget = BOUND_MECHANISMS[mechanism][1](n1, n2, delta, divergence, *targets)
             if budget.applicable:
-                b = evaluator(n1, n2, budget.f, delta, divergence)
-                rows.append({
-                    "mechanism": mechanism, "f": budget.f,
-                    "alpha_lower": b.alpha_lower, "epsilon_upper": b.epsilon_upper,
-                    "vacuous": b.vacuous, "binding_constraint": budget.binding,
-                })
+                rows.append(row(mechanism, budget.f, budget.binding))
             else:
                 print(f"{mechanism}: budget inapplicable ({budget.reason})", file=sys.stderr)
     path, fmt = _output(cfg, args)
@@ -279,11 +274,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    sweep_cfg = _sweep_config(cfg, args)
-    mu2 = _get(cfg, "gaussian", "mu2", 0.5, float)
-    n1 = _get(cfg, "gaussian", "n1", 1000, int)
-    n2 = _get(cfg, "gaussian", "n2", 1000, int)
-    result = run_gaussian_sweep(mu2, n1, n2, sweep_cfg)
+    sweep_cfg = _sweep_config(cfg, args, ("random", "selective-gaussian"))
+    result = run_gaussian_sweep(**cfg["gaussian"], config=sweep_cfg)
     path, fmt = _output(cfg, args)
     emit(result, fmt, path)
     print(f"wrote {len(result.rows)} cells to {path}")
@@ -304,21 +296,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_score(args) -> int:
     cfg = _load_config(args)
     source = _load_dataset(cfg)
-    rule = _get(cfg, "score", "rule", "cos-mu2")
-    params = _sweep_config(cfg, args).scoring
+    rule = cfg["score"]["rule"]
     if hasattr(source, "texts"):
-        vec_cfg = _tfidf_config(cfg)
-        from .data_io import TfidfVectorizer
-
-        matrix = TfidfVectorizer(vec_cfg).fit_transform(source.texts)
-        labels = np.asarray(source.labels)
-        p1_label = _get(cfg, "pipeline", "p1_label", 1, int)
-        p1_rows = matrix[labels == p1_label]
-        p2_rows = matrix[labels != p1_label]
+        matrix = TfidfVectorizer(_tfidf_config(cfg)).fit_transform(source.texts)
+        is_p1 = np.asarray(source.labels) == cfg["pipeline"]["p1_label"]
+        p1_rows, p2_rows = matrix[is_p1], matrix[~is_p1]
     else:
         p1_rows = source.features[source.p1_positions()]
         p2_rows = source.features[source.p2_positions()]
-    scored = score_features(p1_rows, p2_rows, rule, params)
+    scored = score_features(p1_rows, p2_rows, rule, ScoringParams(**cfg["scoring"]))
     rows = [{"index": s.index, "score": s.score, "rule": rule} for s in scored]
     path, fmt = _output(cfg, args)
     emit(rows, fmt, path, fieldnames=["index", "score", "rule"])
@@ -328,9 +314,9 @@ def _cmd_score(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args)
-    sweep_cfg = _sweep_config(cfg, args, default_rules="random,lr-cos")
+    sweep_cfg = _sweep_config(cfg, args, ("random", "lr-cos"))
     source = _load_dataset(cfg)
-    pipeline = _pipeline_config(cfg)
+    pipeline = PipelineConfig(tfidf=_tfidf_config(cfg), **cfg["pipeline"], **cfg["train"])
     result = run_dataset_sweep(source, pipeline, sweep_cfg)
     path, fmt = _output(cfg, args)
     emit(result, fmt, path)
@@ -371,6 +357,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ValueError as exc:  # a value the library rejects, e.g. gaussian.n1=0
         raise SystemExit(f"invalid {args.command} input: {exc}") from exc
+    except OSError as exc:  # an input file that cannot be read, or an output path
+        raise SystemExit(f"{args.command} failed: {exc}") from exc
 
 
 if __name__ == "__main__":

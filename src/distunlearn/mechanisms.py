@@ -144,8 +144,10 @@ def selective_removal_gaussian(samples_p1, samples_p2, f: int) -> RemovalPlan:
 
     Scores are |x_i - mean(samples_p2)|; ties break toward the lower index.
     """
-    x1 = np.asarray(samples_p1, dtype=float).ravel()
-    x2 = np.asarray(samples_p2, dtype=float).ravel()
+    x1 = np.asarray(samples_p1, dtype=float)
+    x2 = np.asarray(samples_p2, dtype=float)
+    if x1.ndim != 1 or x2.ndim != 1:
+        raise ValueError(f"samples must be 1-d, got shapes {x1.shape} and {x2.shape}")
     f = int(f)
     if x2.size == 0:
         raise ValueError("samples_p2 is empty: preserve-side mean is undefined")

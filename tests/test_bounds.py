@@ -237,3 +237,12 @@ class TestBudgetSelective:
         res = budget_selective(1000, 10, 0.1, 0.125, 0.004, 0.004)
         assert not res.applicable
         assert "n2" in res.reason
+
+    def test_no_budget_meets_the_exact_bound(self):
+        # The closed forms clamp to f = n1 = 1, but bound_selective is
+        # inapplicable there, so no budget carries a guarantee.
+        assert not bound_selective(1, 100000, 1, 0.1, 1.0).applicable
+        res = budget_selective(1, 100000, 0.1, 1.0, 0.01, 0.01)
+        assert not res.applicable
+        assert res.binding == "inapplicable"
+        assert "bound_selective" in res.reason

@@ -1,7 +1,13 @@
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from distunlearn.cli import _parse_floats, main
+from distunlearn.cli import KEYS, _load_config, _parse_floats, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
@@ -41,6 +47,16 @@ class TestConfigErrors:
         (["experiment", "--set", "dataset.kind=synthetic",
           "--set", "sweep.rules=random,selective-gaussian"],
          ["experiment input", "'selective-gaussian'"]),
+        # keys and sections that are not in the table, and values their
+        # parser rejects
+        (["bounds", "--set", "bogus.key=1"], ["[bogus]", "bogus.key"]),
+        (["bounds", "--set", "bounds.mechansims=random"], ["bounds.mechansims", "mechanisms"]),
+        (["score", "--set", "dataset.kind=synthetic", "--set", "tfidf.sublinear_tf=ture"],
+         ["tfidf.sublinear_tf", "'ture'"]),
+        (["frontier", "--set", "frontier.family=poisson"], ["frontier.family", "'poisson'"]),
+        (["score", "--set", "dataset.kind=tsv"], ["dataset.path"]),
+        (["score", "--set", "dataset.kind=csv", "--set", "dataset.path=x.csv"],
+         ["dataset.schema"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
@@ -51,6 +67,61 @@ class TestConfigErrors:
         for name in names:
             assert name in message
         assert not out.exists()
+
+
+class TestResolvedConfig:
+    @staticmethod
+    def resolve(*overrides, config=None):
+        return _load_config(argparse.Namespace(config=config, set=list(overrides)))
+
+    def test_defaults_come_from_the_table(self):
+        assert self.resolve() == {section: {key: default for key, (_, default) in keys.items()}
+                                  for section, keys in KEYS.items()}
+
+    def test_values_are_parsed_and_set_overrides_the_file(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[tfidf]\nsublinear_tf = off  # inline comment\n"
+                       "[bounds]\nn1 = 12\nmechanisms = selective\n", encoding="utf-8")
+        cfg = self.resolve("bounds.n1=13", "scoring.sigma=0.5", config=str(ini))
+        assert cfg["tfidf"]["sublinear_tf"] is False
+        assert cfg["bounds"]["n1"] == 13
+        assert cfg["bounds"]["mechanisms"] == ("selective",)
+        assert cfg["scoring"]["sigma"] == 0.5
+
+    @pytest.mark.parametrize("key", ["sweep.rules", "sweep.budgets", "sweep.seeds",
+                                     "frontier.alphas", "bounds.f", "bounds.mechanisms"])
+    def test_empty_list_keeps_the_default(self, key):
+        section, option = key.split(".")
+        assert self.resolve(f"{key}= ")[section][option] == KEYS[section][option][1]
+
+    def test_readme_lists_every_key(self):
+        text = README.read_text(encoding="utf-8")
+        table = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+        listed = {}
+        for line in table.splitlines():
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip())[1:-1]]
+            if cells and re.fullmatch(r"`\[\w+\]`", cells[0]):
+                listed[cells[0].strip("`[]")] = re.findall(r"`(\w+)`", cells[1])
+        assert listed == {section: list(keys) for section, keys in KEYS.items()}
+
+
+class TestIOErrors:
+    def test_missing_input_file(self, tmp_path):
+        missing = tmp_path / "missing.tsv"
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            run(["score", "--set", "dataset.kind=tsv", "--set", f"dataset.path={missing}",
+                 "--out", str(out)])
+        message = str(info.value)
+        assert str(missing) in message and "\n" not in message
+        assert not out.exists()
+
+    def test_output_in_missing_directory(self, tmp_path):
+        out = tmp_path / "absent" / "frontier.csv"
+        with pytest.raises(SystemExit) as info:
+            run(["frontier", "--out", str(out)])
+        message = str(info.value)
+        assert str(out) in message and "\n" not in message
 
 
 class TestFrontierCommand:
@@ -109,6 +180,16 @@ class TestSimulateCommand:
         printed = capsys.readouterr().out
         assert "half-target budget" in printed
         assert out.exists()
+
+    def test_seed_range(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--set", "sweep.seeds=0..2", "--set", "sweep.budgets=0,1",
+                    "--set", "sweep.rules=random",
+                    "--set", "gaussian.n1=20", "--set", "gaussian.n2=20",
+                    "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("rule,budget_fraction,seed,")
+        assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", "2"] * 2
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--set", "sweep.seeds=0,1",

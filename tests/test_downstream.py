@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -72,6 +73,17 @@ class TestLoglossDecomposition:
         d = logloss_decomposition(q, p)
         assert not d.finite
         assert math.isinf(d.joint_kl)
+        assert d.excess_loss == math.inf
+        assert math.isnan(d.identity_gap)
+
+    def test_zero_input_marginal_flagged(self):
+        # p puts no mass on x = 0, where q has mass
+        q = FiniteJoint(np.full((2, 2), 0.25))
+        p = FiniteJoint(np.array([[0.0, 0.0], [0.5, 0.5]]))
+        d = logloss_decomposition(q, p)
+        assert not d.finite
+        assert d.joint_kl == d.marginal_kl == d.excess_loss == math.inf
+        assert math.isnan(d.identity_gap)
 
     def test_shape_mismatch_rejected(self):
         q = FiniteJoint(np.full((2, 2), 0.25))
@@ -97,6 +109,17 @@ class TestCheckProp2:
         report = check_prop2(p1, p2, p1)
         assert report.alpha == pytest.approx(0.0, abs=1e-15)
         assert report.removal_excess == pytest.approx(0.0, abs=1e-15)
+
+    def test_support_violation_on_the_forget_side(self):
+        # p is zero where p1 has mass; p2 lies inside p's support
+        p1 = FiniteJoint(np.full((2, 2), 0.25))
+        p2 = FiniteJoint(np.array([[0.5, 0.0], [0.5, 0.0]]))
+        p = FiniteJoint(np.array([[0.9, 0.0], [0.1, 0.0]]))
+        report = check_prop2(p1, p2, p)
+        assert not report.finite
+        assert report.alpha == report.removal_excess == math.inf
+        assert math.isnan(report.removal_identity_gap)
+        assert abs(report.preservation_identity_gap) <= 1e-15
 
     def test_identities_on_random_triples(self):
         gen = rnglib.generator(4, "t5")
@@ -171,6 +194,25 @@ class TestTrainLogistic:
         fd_b = (objective(w, b + h) - objective(w, b - h)) / (2 * h)
         analytic_b = float(np.mean(1 / (1 + np.exp(-(x @ w + b))) - y))
         assert fd_b == pytest.approx(analytic_b, rel=1e-5, abs=1e-8)
+
+    @pytest.mark.parametrize("start, iterations, converged", [
+        (-30.0, 6, True),  # the first steps are found by halving
+        (-40.0, 0, False),  # 40 halvings still overshoot: the search gives up
+    ])
+    def test_line_search_from_a_saturated_wrong_sign_start(self, start, iterations,
+                                                           converged):
+        # Every logit sits at -start or start, where the curvature is nearly
+        # zero and the unregularized Newton step is far too long.
+        feats = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        ds = LabeledDataset(features=feats, labels=[1, 0, 0, 1],
+                            group=["P1", "P2", "P2", "P1"], row_ids=list("abcd"))
+        init = dataclasses.replace(train_logistic(ds, 0.0),
+                                   weights=np.array([[start]]))
+        meta = train_logistic(ds, 0.0, init=init).training_meta
+        assert meta.iterations == iterations
+        assert meta.converged is converged
+        assert meta.objective_trace[0] == pytest.approx(-start / 2)
+        assert np.all(np.diff(meta.objective_trace) <= 0.0)
 
     def test_objective_trace_non_increasing(self):
         ds = two_class_dataset(n=60, seed=3, separation=1.0)

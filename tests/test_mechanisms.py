@@ -144,6 +144,14 @@ class TestSelectiveRemoval:
         with pytest.raises(ValueError, match="empty"):
             selective_removal_gaussian([1.0], [], 1)
 
+    def test_rows_of_a_matrix_rejected(self):
+        # Raveled, a 5 x 3 matrix would yield indices past its 5 rows.
+        x1 = np.arange(15.0).reshape(5, 3)
+        with pytest.raises(ValueError, match=r"\(5, 3\)"):
+            selective_removal_gaussian(x1, [0.0, 1.0], 4)
+        with pytest.raises(ValueError, match=r"\(2, 1\)"):
+            selective_removal_gaussian([1.0, 2.0], [[0.0], [1.0]], 1)
+
     def test_selective_mean_closer_than_random(self):
         # expectation over seeds: surviving selective mean hugs the preserve
         # mean at least as closely as surviving random mean
