@@ -11,7 +11,8 @@ Five subcommands, one per kind of output:
 - ``experiment`` : full dataset sweeps (TF-IDF + logistic pipeline)
 
 Each subcommand reads an INI-style config file (UTF-8 ``key = value`` lines
-grouped into sections, with the keys that ``KEYS`` declares) and accepts
+grouped into sections, with the keys that ``KEYS`` declares; values are
+literal, with no ``%`` interpolation) and accepts
 repeated ``--set section.key=value`` overrides plus a few dedicated flags.
 ``--seed`` overrides the master seed.  Exit code is 0 on success and 1 when
 any sweep cell failed, unless ``--allow-partial`` is given.
@@ -139,10 +140,14 @@ def _config_errors(where: str):
 def _load_config(args) -> dict[str, dict]:
     """Section -> key -> value: each key of ``KEYS`` at its default, unless
     the config file or a ``--set`` override (which wins) gives it a value."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            parser.read_file(fh)
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:  # no section header, a repeated key, ...
+                raise SystemExit(f"invalid config file {args.config}: "
+                                 + " ".join(str(exc).split())) from exc
     for item in args.set or []:
         name, eq, value = item.partition("=")
         section, dot, key = name.partition(".")
@@ -214,6 +219,9 @@ def _cmd_frontier(args) -> int:
         family = None
         divergence = frontier["divergence"]
         if divergence is None:
+            if not frontier["sigma2"] > 0.0:
+                raise SystemExit(f"invalid frontier.sigma2: the variance must be > 0, "
+                                 f"got {frontier['sigma2']}")
             divergence = ((frontier["mu2"] - frontier["mu1"]) ** 2
                           / (2.0 * frontier["sigma2"]))
         multiples = (0.5, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit, log_expit, log_softmax, softmax
 
 from .data_io import LabeledDataset
 
@@ -238,6 +237,8 @@ _MAX_HALVINGS = 40  # backtracking steps before the line search gives up
 
 def _sigmoid_link(z, y_index):
     """Sigmoid loss on one logit column: mean loss, residual, curvature map."""
+    from scipy.special import expit, log_expit
+
     sign = (2.0 * y_index - 1.0)[:, None]
     loss = -float(np.mean(log_expit(sign * z)))
     pos = expit(z)
@@ -247,6 +248,8 @@ def _sigmoid_link(z, y_index):
 
 def _softmax_link(z, y_index):
     """Multinomial loss on one logit column per class."""
+    from scipy.special import log_softmax
+
     rows = np.arange(z.shape[0])
     logp = log_softmax(z, axis=1)
     loss = -float(logp[rows, y_index].mean())
@@ -387,6 +390,8 @@ def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, *,
 
 def predict_proba(model: ClassifierModel, features) -> np.ndarray:
     """Class probabilities (n x n_classes) in ``model.classes`` order."""
+    from scipy.special import expit, softmax
+
     if model.binary:
         z = _matvec(features, model.weights[0]) + model.bias[0]
         pos = expit(z)

@@ -19,11 +19,12 @@ three-point identity gives
 KL(p_2 || p_1) + alpha + (theta* - theta_1)' (E_1[T] - E_2[T]); the two
 contractions coincide for Gaussians, where theta is linear in the mean.)
 
-lambda* is found by bracketed bisection of H(lambda) = KL(p_1 || p*(lambda))
-on (0, 1).  H's endpoint values (H -> D at 0+, H -> +inf at 1-) force a sign
-change; the solver relies only on that sign change, not on a monotonicity
-direction, and rejects the family spec as ill-conditioned when the bracket
-it ends on does not pin H to alpha.  The lambda > 1 branch is never explored.
+lambda* is found by a bracketing regula falsi (the Illinois variant) on
+H(lambda) = KL(p_1 || p*(lambda)) over (0, 1).  H's endpoint values (H -> D at
+0+, H -> +inf at 1-) force a sign change; the solver relies only on that sign
+change, not on a monotonicity direction, and rejects the family spec as
+ill-conditioned when the bracket it ends on does not pin H to alpha.  The
+lambda > 1 branch is never explored.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ __all__ = [
 
 _LAMBDA_LO = 1e-9
 _LAMBDA_HI = 1.0 - 1e-9
-_MAX_BISECT = 200
+_MAX_STEPS = 200
+# A secant step lands at least this far inside the bracket, so a root that
+# sits exactly on one end still lets the other end close in.
+_EDGE = 0.25e-15
 
 
 @dataclass(frozen=True)
@@ -183,14 +187,20 @@ def _h_of_lambda(family: ExpFamilySpec, lam: float,
     return value, theta
 
 
+def _log_ratio(value: float, alpha: float) -> float:
+    """log(value / alpha), -inf for value <= 0 and +inf for value = +inf."""
+    return math.log(value / alpha) if value > 0.0 else -math.inf
+
+
 def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontierResult:
     """Frontier point and lambda* for a general exponential family.
 
     Solves H(lambda) = KL(p1 || p*(lambda)) = alpha for lambda* in (0, 1) by
-    sign-change bisection (values where p* leaves the family count as +inf),
-    then evaluates the optimal value formula.  The residual |H(lambda*) -
-    alpha| is reported and must be <= 1e-9 * max(1, alpha); a larger one
-    (for example where H jumps across the final bracket) raises ValueError.
+    Illinois regula falsi on a sign-change bracket (values where p* leaves the
+    family count as +inf and force a bisection step), then evaluates the
+    optimal value formula.  The residual |H(lambda*) - alpha| is reported and
+    must be <= 1e-9 * max(1, alpha); a larger one (for example where H jumps
+    across the final bracket) raises ValueError.
     """
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
@@ -209,33 +219,51 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
             divergence=divergence, residual=0.0,
         )
 
-    def h(lam: float) -> float:
-        return _h_of_lambda(family, lam, e1, e2)[0]
-
     lo, hi = _LAMBDA_LO, _LAMBDA_HI
-    h_lo = h(lo)
+    h_lo, theta_lo = _h_of_lambda(family, lo, e1, e2)
     if not h_lo < alpha:
         raise ValueError(
             f"ill-conditioned family spec: H({lo}) = {h_lo} is not below alpha = {alpha}"
         )
-    # Bisect on the sign of H - alpha.  Evaluations where p* leaves the family
-    # are +inf, i.e. on the same side as H > alpha, so the invariant
-    # H(lo) < alpha <= H(hi) holds throughout.
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= 1e-15:
+    # Keep the bracket on the sign of H - alpha.  Evaluations where p* leaves
+    # the family are +inf, i.e. on the same side as H > alpha, so the
+    # invariant H(lo) < alpha <= H(hi) holds throughout.  Each step is the
+    # secant root of g = log(H / alpha), which tames H's pole at lambda -> 1;
+    # the end that stays put for a second step has its g halved (the Illinois
+    # rule), so both ends close in.  H(1-) = +inf stands for hi's first value,
+    # and any non-finite end value makes the step a bisection.
+    g_lo, g_hi, last, edge = _log_ratio(h_lo, alpha), math.inf, 0, _EDGE
+    for _ in range(_MAX_STEPS):
+        width = hi - lo
+        if width <= 1e-15:
             break
-        mid = 0.5 * (lo + hi)
-        if h(mid) < alpha:
-            lo = mid
+        span = g_hi - g_lo
+        if 0.0 < span < math.inf:
+            secant = lo - width * g_lo / span
+            margin = min(edge, 0.5 * width)
+            mid = min(max(secant, lo + margin), hi - margin)
+            # A secant point kept off an end (where H may sit flat at alpha
+            # over many ulps) keeps twice as far off at the next step.
+            edge = _EDGE if mid == secant else 2.0 * edge
         else:
-            hi = mid
-    lam = lo
-    h_lam, theta_star = _h_of_lambda(family, lam, e1, e2)
-    residual = abs(h_lam - alpha)
+            mid = 0.5 * (lo + hi)
+        h_mid, theta_mid = _h_of_lambda(family, mid, e1, e2)
+        if h_mid < alpha:
+            lo, h_lo, theta_lo, g_lo = mid, h_mid, theta_mid, _log_ratio(h_mid, alpha)
+            if last < 0:
+                g_hi *= 0.5
+            last = -1
+        else:
+            hi, g_hi = mid, _log_ratio(h_mid, alpha)
+            if last > 0:
+                g_lo *= 0.5
+            last = 1
+    lam, theta_star = lo, theta_lo
+    residual = abs(h_lo - alpha)
 
     if not residual <= 1e-9 * max(1.0, alpha):
         raise ValueError(
-            f"frontier solve failed after {_MAX_BISECT} iterations: "
+            f"frontier solve failed after {_MAX_STEPS} iterations: "
             f"|H(lambda) - alpha| = {residual:.3g} (ill-conditioned family spec)"
         )
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "GaussianModel",
@@ -50,6 +49,8 @@ def norm_cdf(x: float) -> float:
 
 def norm_quantile(p: float) -> float:
     """Standard normal quantile (inverse of :func:`norm_cdf`)."""
+    from scipy.special import ndtri
+
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
     return float(ndtri(p))
@@ -211,19 +212,20 @@ def g_inverse(p: float, kappa: float) -> float:
     """p-th quantile of the folded normal, i.e. u with g(u; kappa) = p.
 
     Solved by bisection on a bracket guaranteed to contain the quantile:
-    ``[0, sqrt(2 kappa) + Phi^{-1}(1 - (1-p)/4) + 10]``.  The returned u
-    satisfies |g(u; kappa) - p| <= 1e-12.
+    ``[0, sqrt(2 kappa) + sqrt(-2 ln((1-p)/2)) + 10]``.  The middle term is
+    the closed-form tail bound ``Phi^{-1}(q) <= sqrt(-2 ln(2 (1-q)))`` (valid
+    for q >= 1/2) at ``q = 1 - (1-p)/4``, so no normal quantile is evaluated.
+    The returned u satisfies |g(u; kappa) - p| <= 1e-12.
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if not (kappa >= 0.0 and math.isfinite(kappa)):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    # With c = sqrt(2 kappa), g(hi) >= 2 Phi(hi - c) - 1 > 1 - (1-p)/2 > p.
-    # In floats Phi(hi - c) at hi - c >= 10.6 rounds to 1, so g(hi) clamps to
-    # 1 - 2**-53 >= p.  The cap keeps the quantile argument below 1 for p
-    # within 2**-52 of 1.
-    top = min(1.0 - (1.0 - p) / 4.0, 1.0 - 2.0**-53)
-    hi = math.sqrt(2.0 * kappa) + norm_quantile(top) + 10.0
+    # With c = sqrt(2 kappa) and x = sqrt(-2 ln((1-p)/2)), the Gaussian tail
+    # bound 1 - Phi(x) <= exp(-x^2 / 2) / 2 = (1-p)/4 gives
+    # g(hi) >= 2 Phi(hi - c) - 1 > 1 - (1-p)/2 > p.  In floats Phi(hi - c) at
+    # hi - c >= 10.6 rounds to 1, so g(hi) clamps to 1 - 2**-53 >= p.
+    hi = math.sqrt(2.0 * kappa) + math.sqrt(-2.0 * math.log(0.5 * (1.0 - p))) + 10.0
     lo = 0.0
     for _ in range(200):
         if hi - lo <= 1e-12:

@@ -57,6 +57,9 @@ class TestConfigErrors:
         (["score", "--set", "dataset.kind=tsv"], ["dataset.path"]),
         (["score", "--set", "dataset.kind=csv", "--set", "dataset.path=x.csv"],
          ["dataset.schema"]),
+        # a Gaussian frontier from mu1, mu2 and a variance that is not positive
+        (["frontier", "--set", "frontier.sigma2=0"], ["frontier.sigma2", "0.0"]),
+        (["frontier", "--set", "frontier.sigma2=-1"], ["frontier.sigma2", "-1.0"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
@@ -66,6 +69,39 @@ class TestConfigErrors:
         assert message.startswith("invalid ") and "\n" not in message
         for name in names:
             assert name in message
+        assert not out.exists()
+
+
+class TestMalformedConfigFile:
+    @pytest.mark.parametrize("text, fragment", [
+        ("n1 = 12\n", "no section headers"),
+        ("[bounds]\nn1 = 12\nn1 = 13\n", "'n1'"),
+    ])
+    def test_exits_with_one_line_naming_the_file(self, tmp_path, text, fragment):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            run(["bounds", "--config", str(ini), "--out", str(out)])
+        message = str(info.value)
+        assert message.startswith(f"invalid config file {ini}: ") and "\n" not in message
+        assert fragment in message
+        assert not out.exists()
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[bounds]\nn1 = 40\n[output]\npath = {tmp_path / 'a%b.csv'}\n",
+                       encoding="utf-8")
+        assert run(["bounds", "--config", str(ini)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a%b.csv", "run.ini"]
+
+    def test_percent_in_a_number_exits_with_one_line(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[bounds]\nn1 = 5%\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            run(["bounds", "--config", str(ini), "--out", str(out)])
+        assert str(info.value).startswith("invalid bounds.n1: ") and "'5%'" in str(info.value)
         assert not out.exists()
 
 

@@ -1,7 +1,10 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from distunlearn import frontier
@@ -64,6 +67,64 @@ def bernoulli_grid_oracle(q1, q2, alpha, n_points=10**6):
             if kl(q1, q_point) >= alpha - 1e-12:
                 best = min(best, kl(q2, q_point))
     return best
+
+
+def reference_bisection(family, alpha):
+    """The fixed bisection frontier_expfamily used to run: the final bracket
+    (lo, hi) of width <= 1e-15 on (1e-9, 1 - 1e-9) with H(lo) < alpha <=
+    H(hi), returned with H(lo) and H(hi); None when H(1e-9) >= alpha."""
+    e1 = np.asarray(family.mean_map(family.natural_param_theta1), dtype=float)
+    e2 = np.asarray(family.mean_map(family.natural_param_theta2), dtype=float)
+
+    def h(lam):
+        return frontier._h_of_lambda(family, lam, e1, e2)[0]
+
+    lo, hi = 1e-9, 1.0 - 1e-9
+    if not h(lo) < alpha:
+        return None
+    for _ in range(200):
+        if hi - lo <= 1e-15:
+            break
+        mid = 0.5 * (lo + hi)
+        if h(mid) < alpha:
+            lo = mid
+        else:
+            hi = mid
+    return lo, h(lo), h(hi)
+
+
+@st.composite
+def families(draw):
+    """Bernoulli families with success probabilities at least 0.05 apart,
+    and 1-d/2-d Gaussian families at KL >= 0.005: closer members leave H so
+    flat that rounding alone moves lambda* by more than 1e-12."""
+    if draw(st.booleans()):
+        q1, q2 = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
+        assume(abs(q1 - q2) >= 0.05)
+        return bernoulli_family(q1, q2)
+    d = draw(st.sampled_from([1, 2]))
+    mu2 = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+    sd = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d)))
+    corr = np.eye(d)
+    if d == 2:
+        corr[0, 1] = corr[1, 0] = draw(st.floats(-0.9, 0.9))
+    family = gaussian_family(np.zeros(d), mu2, corr * np.outer(sd, sd))
+    assume(family.divergence() >= 0.005)
+    return family
+
+
+@pytest.fixture
+def h_calls(monkeypatch):
+    """The lambdas at which frontier_expfamily evaluates H, in call order."""
+    h_of_lambda = frontier._h_of_lambda
+    lambdas = []
+
+    def counting_h(family, lam, e1, e2):
+        lambdas.append(lam)
+        return h_of_lambda(family, lam, e1, e2)
+
+    monkeypatch.setattr(frontier, "_h_of_lambda", counting_h)
+    return lambdas
 
 
 class TestTradeoffPoint:
@@ -160,8 +221,8 @@ class TestExpFamilyGaussian:
             assert res.point.epsilon == pytest.approx(closed, abs=1e-6)
 
     def test_jump_in_h_raises(self, monkeypatch):
-        # H jumps over alpha at lambda = 0.5: the bisection bracket closes on
-        # the jump and no lambda meets the residual tolerance.
+        # H jumps over alpha at lambda = 0.5: the bracket closes on the jump
+        # and no lambda meets the residual tolerance.
         fam = gaussian_family(0.0, 2.0, 1.0)
         alpha = 8.0
 
@@ -220,6 +281,63 @@ class TestExpFamilyBernoulli:
             bernoulli_family(0.0, 0.5)
         with pytest.raises(ValueError):
             bernoulli_family(0.5, 1.0)
+
+
+class TestExpFamilySolve:
+    MULTIPLES = (1.0 + 1e-6, 1.0 + 1e-3, 1.05, 1.5, 2.0, 4.0, 10.0, 100.0, 1000.0)
+
+    @staticmethod
+    def grid_families():
+        gen = np.random.default_rng(29)
+        out = []
+        for d in (1, 2, 10):
+            a = gen.normal(0.0, 1.0, (d, d))
+            out.append(gaussian_family(np.zeros(d), gen.normal(0.0, 0.8, d),
+                                       a @ a.T / d + np.eye(d)))
+        return out + [bernoulli_family(*q) for q in ((0.3, 0.7), (0.01, 0.99), (0.9, 0.2))]
+
+    def test_evaluations_per_query(self, h_calls):
+        # The bisection this solve replaced took 52 evaluations on every
+        # query.  Queries that raise count too: at 100 D and 1000 D the
+        # Bernoulli frontiers are out of reach in double precision.
+        counts = []
+        for fam in self.grid_families():
+            for mult in self.MULTIPLES:
+                h_calls.clear()
+                with contextlib.suppress(ValueError):
+                    frontier_expfamily(fam, mult * fam.divergence())
+                counts.append(len(h_calls))
+        assert max(counts) <= 52
+        assert np.mean(counts) <= 20.0
+
+    @given(families(), st.floats(math.log1p(1e-6), math.log(1000.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_reference_bisection(self, family, log_multiple):
+        alpha = family.divergence() * math.exp(log_multiple)
+        tol = 1e-9 * max(1.0, alpha)
+        ref = reference_bisection(family, alpha)
+        ref_returns = ref is not None and abs(ref[1] - alpha) <= tol
+        try:
+            res = frontier_expfamily(family, alpha)
+        except ValueError:
+            # Where H rises by more than the tolerance across the reference's
+            # own final bracket (next to the Bernoulli boundary), whether its
+            # lo met the tolerance is down to where that lo fell.
+            assert not ref_returns or ref[2] - ref[1] > tol
+            return
+        assert res.residual <= tol
+        if ref_returns:
+            assert abs(res.lambda_star - ref[0]) <= 1e-12
+
+    def test_exact_root_on_a_bracket_end(self, h_calls):
+        # lambda* = 1 - sqrt(D / alpha) = 1/2 is the first bisection point, so
+        # H(hi) = alpha exactly and every secant point falls on hi.  Stepping
+        # just inside the bracket closes it at once, not after ~50 halvings.
+        fam = gaussian_family(0.0, 2.0, 1.0)
+        res = frontier_expfamily(fam, 4.0 * fam.divergence())
+        assert h_calls[:2] == [1e-9, 0.5] and len(h_calls) <= 4
+        assert res.lambda_star == pytest.approx(0.5, abs=1e-15)
+        assert res.residual <= 1e-9 * res.point.alpha
 
 
 class TestExpFamilySpec:

@@ -223,11 +223,14 @@ class TestGInverse:
         kappas = np.concatenate([[0.0], np.logspace(-12, 8, 146)])
         assert ps[0] > 0.0 and ps[-1] == 1.0 - 2.0**-53
         for p in ps:
-            top = min(1.0 - (1.0 - p) / 4.0, 1.0 - 2.0**-53)
+            # The closed-form tail bound g_inverse uses stands above the normal
+            # quantile at q = 1 - (1-p)/4 (capped below 1 for ndtri).
+            tail = math.sqrt(-2.0 * math.log(0.5 * (1.0 - p)))
+            assert tail >= ndtri(min(1.0 - (1.0 - p) / 4.0, 1.0 - 2.0**-53)), p
             for kappa in kappas:
-                hi = math.sqrt(2.0 * kappa) + float(ndtri(top)) + 10.0
+                hi = math.sqrt(2.0 * kappa) + tail + 10.0
                 assert g_folded(hi, kappa) >= p, (p, kappa)
-        for p in np.append(ps[::7], ps[-2:]):  # the last two need the cap
+        for p in np.append(ps[::7], ps[-2:]):  # out to p = 1 - 2**-53
             for kappa in kappas[::7]:
                 assert abs(g_folded(g_inverse(p, kappa), kappa) - p) <= 1e-12, (p, kappa)
 
