@@ -26,7 +26,6 @@ from .data_io import (
     load_text_tsv,
     read_schema_file,
     split_stratified,
-    tfidf_fit_transform,
     write_text_tsv,
 )
 from .downstream import (
@@ -49,7 +48,6 @@ from .frontier import (
     gaussian_family,
 )
 from .gaussian import (
-    FoldedNormalSpec,
     GaussianModel,
     g_folded,
     g_inverse,

@@ -166,15 +166,14 @@ def frontier_gaussian(divergence_D: float, alpha: float) -> TradeoffPoint:
     return TradeoffPoint(alpha=alpha, epsilon=eps, dominated=False)
 
 
-def _mean_at(family: ExpFamilySpec, lam: float,
-             e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+def _mean_at(lam: float, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return (lam * e1 - e2) / (lam - 1.0)
 
 
 def _h_of_lambda(family: ExpFamilySpec, lam: float,
                  e1: np.ndarray, e2: np.ndarray) -> tuple[float, np.ndarray | None]:
     """KL(p1 || p*(lambda)); +inf when p*(lambda) leaves the family."""
-    target = _mean_at(family, lam, e1, e2)
+    target = _mean_at(lam, e1, e2)
     if not np.all(np.isfinite(target)):
         return math.inf, None
     try:
@@ -273,7 +272,7 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
         point=point,
         lambda_star=lam,
         theta_star=theta_star,
-        mean_star=_mean_at(family, lam, e1, e2),
+        mean_star=_mean_at(lam, e1, e2),
         divergence=divergence,
         residual=residual,
     )

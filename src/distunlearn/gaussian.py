@@ -26,9 +26,7 @@ import numpy as np
 
 __all__ = [
     "GaussianModel",
-    "FoldedNormalSpec",
     "norm_cdf",
-    "norm_quantile",
     "kl_gaussian",
     "pooled_mle",
     "g_folded",
@@ -45,15 +43,6 @@ def norm_cdf(x: float) -> float:
     Accurate to better than 1e-14 absolute over the whole real line.
     """
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def norm_quantile(p: float) -> float:
-    """Standard normal quantile (inverse of :func:`norm_cdf`)."""
-    from scipy.special import ndtri
-
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    return float(ndtri(p))
 
 
 def _as_mean(mean) -> np.ndarray:
@@ -117,27 +106,6 @@ class GaussianModel:
     @classmethod
     def univariate(cls, mean: float, variance: float) -> "GaussianModel":
         return cls(np.array([float(mean)]), np.array([[float(variance)]]))
-
-
-@dataclass(frozen=True)
-class FoldedNormalSpec:
-    """Parameters of the folded normal |Z + sqrt(2 kappa)|, Z standard normal.
-
-    ``kappa`` is the KL divergence between the two reference Gaussians and
-    ``u`` a standardized quantile argument; both must be non-negative.
-    """
-
-    kappa: float
-    u: float
-
-    def __post_init__(self):
-        if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
-        if not (self.u >= 0.0 and math.isfinite(self.u)):
-            raise ValueError(f"u must be finite and >= 0, got {self.u}")
-
-    def cdf(self) -> float:
-        return g_folded(self.u, self.kappa)
 
 
 def kl_gaussian(p: GaussianModel, q: GaussianModel) -> float:

@@ -8,7 +8,7 @@ priority (most divergent from the preserve distribution goes first).
 
 Rules
 -----
-- ``norm``       : l2 length of the row (aliases: ``tfidf-norm``, ``l2-norm``)
+- ``norm``       : l2 length of the row
 - ``cos-mu2``    : cosine distance to the preserve-side mean
 - ``lr-cos``     : cosine distance to the preserve mean minus cosine distance
                    to the forget mean (likelihood-ratio flavored)
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 FEATURE_RULES = ("norm", "cos-mu2", "lr-cos", "knn-ratio", "maha-mu2", "lr-maha", "random")
-_RULE_ALIASES = {"tfidf-norm": "norm", "l2-norm": "norm"}
 
 
 @dataclass(frozen=True)
@@ -320,7 +319,6 @@ def score_features(features_p1, features_p2, rule: str,
     downsampling for classifier training happens after scoring.
     """
     params = params or ScoringParams()
-    rule = _RULE_ALIASES.get(rule, rule)
     if rule not in FEATURE_RULES:
         raise ValueError(f"unknown scoring rule {rule!r}; known: {FEATURE_RULES}")
     x1 = _row_matrix(features_p1)

@@ -60,6 +60,12 @@ class TestConfigErrors:
         # a Gaussian frontier from mu1, mu2 and a variance that is not positive
         (["frontier", "--set", "frontier.sigma2=0"], ["frontier.sigma2", "0.0"]),
         (["frontier", "--set", "frontier.sigma2=-1"], ["frontier.sigma2", "-1.0"]),
+        # a rule name that is not one of the known rules, in either command
+        (["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=tfidf-norm"],
+         ["score input", "'tfidf-norm'", "'norm'", "'lr-cos'"]),
+        (["experiment", "--set", "dataset.kind=synthetic",
+          "--set", "sweep.rules=random,tfidf-norm"],
+         ["experiment input", "'tfidf-norm'", "'norm'", "'lr-cos'"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"

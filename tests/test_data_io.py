@@ -1,4 +1,6 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from distunlearn.data_io import (
     TextCorpus,
     TfidfConfig,
     TfidfVectorizer,
+    _ngrams,
+    _tokens,
     _unescape_text,
     downsample_p2,
     load_features_csv,
@@ -18,7 +22,6 @@ from distunlearn.data_io import (
     read_schema_file,
     split_row_positions,
     split_stratified,
-    tfidf_fit_transform,
     write_text_tsv,
 )
 from distunlearn.stopwords import ENGLISH_STOPWORDS
@@ -93,6 +96,116 @@ class TestSchemaFile:
             read_schema_file(path)
 
 
+class ReferenceVectorizer:
+    """The vectorizer as a per-document ``Counter`` of gram strings and one
+    dict lookup per distinct gram, the form the array one must equal bit for
+    bit."""
+
+    def __init__(self, config):
+        self.config = config
+        self.vocabulary = None
+        self.idf = None
+
+    def _counts(self, doc):
+        return Counter(_ngrams(_tokens(doc, self.config), self.config))
+
+    def fit(self, corpus):
+        docs = list(corpus)
+        df = Counter()
+        for doc in docs:
+            df.update(self._counts(doc).keys())
+        candidates = [(term, count) for term, count in df.items() if count >= self.config.min_df]
+        if not candidates:
+            raise ValueError(
+                f"vocabulary is empty after pruning (min_df={self.config.min_df})"
+            )
+        candidates.sort(key=lambda tc: (-tc[1], tc[0]))
+        selected = sorted(term for term, _ in candidates[: self.config.max_features])
+        self.vocabulary = {term: j for j, term in enumerate(selected)}
+        n_docs = len(docs)
+        self.idf = np.array(
+            [math.log((1.0 + n_docs) / (1.0 + df[term])) + 1.0 for term in selected]
+        )
+        return self
+
+    def transform(self, corpus):
+        docs = list(corpus)
+        idf = self.idf.tolist()
+        indptr = [0]
+        indices, data, zero_rows = [], [], []
+        for row, doc in enumerate(docs):
+            counts = sorted((self.vocabulary[g], tf) for g, tf in self._counts(doc).items()
+                            if g in self.vocabulary)
+            if not counts:
+                zero_rows.append(row)
+            for j, tf in counts:
+                tf_w = 1.0 + math.log(tf) if self.config.sublinear_tf else float(tf)
+                indices.append(j)
+                data.append(tf_w * idf[j])
+            indptr.append(len(indices))
+        matrix = sp.csr_matrix(
+            (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+            shape=(len(docs), len(self.vocabulary)),
+        )
+        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+        scale = np.where(norms > 0, norms, 1.0)
+        matrix = sp.diags(1.0 / scale) @ matrix
+        if zero_rows:
+            warnings.warn(
+                f"{len(zero_rows)} document(s) have no in-vocabulary terms "
+                f"(rows {zero_rows[:10]}{'...' if len(zero_rows) > 10 else ''})",
+                stacklevel=2,
+            )
+        return sp.csr_matrix(matrix)
+
+
+def column_terms(vec):
+    """The fitted vocabulary in column order."""
+    return sorted(vec.vocabulary, key=vec.vocabulary.get)
+
+
+# Words in mixed case, with digits, stopwords and a non-ASCII letter (a
+# token boundary); separators of spaces and punctuation.
+_WORDS = ["cat", "Cat", "CAT", "dog", "the", "a", "Is", "x1", "2b", "emu", "caf\u00e9"]
+_SEPARATORS = [" ", "  ", ", ", "!", "--", "\t", ". "]
+_DOCS = st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPARATORS)),
+                 max_size=8).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+_CONFIGS = st.builds(
+    lambda ngrams, **kw: TfidfConfig(ngram_min=ngrams[0], ngram_max=ngrams[1], **kw),
+    st.sampled_from([(1, 1), (1, 2), (2, 2)]), max_features=st.integers(1, 50),
+    min_df=st.integers(1, 3), sublinear_tf=st.booleans(), lowercase=st.booleans(),
+    stopword_removal=st.booleans())
+
+
+@st.composite
+def _fits(draw):
+    """(fit corpus, transform corpus) pairs over one pool of documents, so
+    documents repeat within and across fits; a transform corpus may be
+    empty, and may hold documents drawn afresh, which no fit has seen."""
+    pool = draw(st.lists(_DOCS, min_size=1, max_size=10))
+    corpus = st.lists(st.sampled_from(pool), max_size=12)
+    return [(draw(corpus.filter(bool)), draw(corpus) + draw(st.lists(_DOCS, max_size=3)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def _outcome(make, corpora):
+    """What a fit and a transform of ``corpora`` give, failures and warnings
+    included, in exactly comparable form."""
+    fit_docs, docs = corpora
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            vec = make(fit_docs)
+        except ValueError as exc:
+            return ("error", str(exc))
+        matrices = [vec.transform(fit_docs), vec.transform(docs)]
+    return (list(vec.vocabulary.items()), vec.idf.dtype, vec.idf.tobytes(),
+            [(type(m), m.shape) + tuple((getattr(m, part).dtype, getattr(m, part).tobytes())
+                                        for part in ("data", "indices", "indptr"))
+             for m in matrices],
+            [str(w.message) for w in caught])
+
+
 class TestTfidf:
     def test_hand_computed_idf(self):
         config = TfidfConfig(max_features=10, ngram_max=1, min_df=1, sublinear_tf=True)
@@ -107,39 +220,40 @@ class TestTfidf:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_identical_documents_identical_rows(self):
-        matrix, _ = tfidf_fit_transform(
-            ["x y z", "x y z"], TfidfConfig(max_features=10, ngram_max=1))
+        matrix = TfidfVectorizer(TfidfConfig(max_features=10, ngram_max=1)).fit_transform(
+            ["x y z", "x y z"])
         np.testing.assert_array_equal(matrix[0].toarray(), matrix[1].toarray())
 
     def test_min_df_prunes_to_empty(self):
         with pytest.raises(ValueError, match="vocabulary is empty"):
-            tfidf_fit_transform(["a b", "c d"],
-                                TfidfConfig(max_features=10, ngram_max=1, min_df=3))
+            TfidfVectorizer(TfidfConfig(max_features=10, ngram_max=1, min_df=3)).fit_transform(
+                ["a b", "c d"])
 
     def test_bigrams_included(self):
-        _, vocab = tfidf_fit_transform(["red cat sat"],
-                                       TfidfConfig(max_features=100, ngram_min=1, ngram_max=2))
+        vocab = column_terms(TfidfVectorizer(
+            TfidfConfig(max_features=100, ngram_min=1, ngram_max=2)).fit(["red cat sat"]))
         assert "red cat" in vocab and "cat sat" in vocab and "cat" in vocab
 
     def test_vocabulary_ranked_by_document_frequency(self):
         corpus = ["a b", "a c", "a d", "b c"]
-        _, vocab = tfidf_fit_transform(
-            corpus, TfidfConfig(max_features=2, ngram_max=1, min_df=1))
+        vocab = column_terms(TfidfVectorizer(
+            TfidfConfig(max_features=2, ngram_max=1, min_df=1)).fit(corpus))
         # a has df 3; b and c tie at 2 and b wins lexicographically
         assert vocab == ["a", "b"]
 
     def test_stopword_removal(self):
         config = TfidfConfig(max_features=10, ngram_max=1, stopword_removal=True)
-        _, vocab = tfidf_fit_transform(["the cat is here", "a cat was there"], config)
+        vocab = column_terms(TfidfVectorizer(config).fit(["the cat is here", "a cat was there"]))
         assert "the" not in vocab and "is" not in vocab
         assert "cat" in vocab
 
     def test_sublinear_toggle(self):
         heavy = ["cat cat cat cat dog", "dog mouse"]
-        raw_m, vocab = tfidf_fit_transform(
-            heavy, TfidfConfig(max_features=10, ngram_max=1, sublinear_tf=False))
-        sub_m, _ = tfidf_fit_transform(
-            heavy, TfidfConfig(max_features=10, ngram_max=1, sublinear_tf=True))
+        raw_vec = TfidfVectorizer(TfidfConfig(max_features=10, ngram_max=1, sublinear_tf=False))
+        raw_m = raw_vec.fit_transform(heavy)
+        vocab = column_terms(raw_vec)
+        sub_m = TfidfVectorizer(
+            TfidfConfig(max_features=10, ngram_max=1, sublinear_tf=True)).fit_transform(heavy)
         j_cat = vocab.index("cat")
         j_dog = vocab.index("dog")
         raw_ratio = raw_m[0, j_cat] / raw_m[0, j_dog]
@@ -189,6 +303,28 @@ class TestTfidf:
             assert shared.idf.tobytes() == fresh.idf.tobytes()
             for part in ("data", "indices", "indptr"):
                 assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+    @given(_CONFIGS, _fits())
+    @settings(max_examples=200, deadline=None)
+    def test_refits_equal_reference_bitwise(self, config, fits):
+        # One vectorizer refitted on each corpus in turn, against a fresh
+        # reference each time: vocabulary, idf and every CSR array, with its
+        # dtype and the order of indices within each row.
+        shared = TfidfVectorizer(config)
+        for corpora in fits:
+            got = _outcome(shared.fit, corpora)
+            want = _outcome(ReferenceVectorizer(config).fit, corpora)
+            assert got == want
+
+    def test_heavy_counts_equal_reference_bitwise(self):
+        # With numpy 2.4 on x86-64, np.log(9170) and np.log(19143) differ
+        # from math.log in the last bit; the weights must round as the
+        # reference's do.
+        corpora = (["cat " * 9170 + "dog", "dog emu"], ["emu " * 19143, "cat dog"])
+        config = TfidfConfig(max_features=10, ngram_max=1)
+        assert (_outcome(TfidfVectorizer(config).fit, corpora)
+                == _outcome(ReferenceVectorizer(config).fit, corpora))
 
 
 class TestTextTsv:

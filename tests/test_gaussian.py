@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from distunlearn.gaussian import (
-    FoldedNormalSpec,
     GaussianModel,
     g_folded,
     g_inverse,
@@ -238,13 +237,3 @@ class TestGInverse:
     @settings(max_examples=150, deadline=None)
     def test_round_trip_property(self, p, kappa):
         assert g_folded(g_inverse(p, kappa), kappa) == pytest.approx(p, abs=1e-10)
-
-
-class TestFoldedNormalSpec:
-    def test_validates(self):
-        spec = FoldedNormalSpec(kappa=2.0, u=1.0)
-        assert spec.cdf() == pytest.approx(g_folded(1.0, 2.0))
-        with pytest.raises(ValueError):
-            FoldedNormalSpec(kappa=-1.0, u=0.0)
-        with pytest.raises(ValueError):
-            FoldedNormalSpec(kappa=0.0, u=-1.0)

@@ -178,9 +178,11 @@ class TestScoreFeatures:
         assert [s.score for s in scored] == [5.0, 0.0, 1.0]
 
     def test_norm_aliases(self):
+        # Each rule has one name; the former aliases of norm are unknown rules.
         rows = np.array([[3.0, 4.0]])
         for alias in ("tfidf-norm", "l2-norm"):
-            assert score_features(rows, rows, alias)[0].score == 5.0
+            with pytest.raises(ValueError, match=f"unknown scoring rule '{alias}'; known: .*'norm'"):
+                score_features(rows, rows, alias)
 
     def test_cosine_distance_endpoints(self):
         p1 = np.array([[1.0, 0.0], [-1.0, 0.0]])
