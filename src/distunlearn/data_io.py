@@ -97,10 +97,6 @@ class LabeledDataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
     def p1_positions(self) -> np.ndarray:
         return np.flatnonzero(self.group == P1)
 

@@ -201,7 +201,6 @@ def check_prop2(p1: FiniteJoint, p2: FiniteJoint, p: FiniteJoint) -> Prop2Report
 @dataclass(frozen=True)
 class TrainingMeta:
     iterations: int
-    final_objective: float
     converged: bool
     grad_norm: float
     objective_trace: tuple[float, ...]
@@ -218,7 +217,6 @@ class ClassifierModel:
     weights: np.ndarray
     bias: np.ndarray
     classes: np.ndarray
-    l2_strength: float
     training_meta: TrainingMeta
 
     @property
@@ -380,12 +378,10 @@ def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, *,
         grad_norm = trial_norm
         trace.append(value)
         iterations += 1
-    meta = TrainingMeta(
-        iterations=iterations, final_objective=value, converged=grad_norm <= tol,
-        grad_norm=grad_norm, objective_trace=tuple(trace),
-    )
+    meta = TrainingMeta(iterations=iterations, converged=grad_norm <= tol,
+                        grad_norm=grad_norm, objective_trace=tuple(trace))
     return ClassifierModel(weights=theta[:d].T.copy(), bias=theta[d].copy(), classes=classes,
-                           l2_strength=float(l2_strength), training_meta=meta)
+                           training_meta=meta)
 
 
 def predict_proba(model: ClassifierModel, features) -> np.ndarray:
@@ -414,7 +410,6 @@ class Metrics:
     macro_f1_p2: float | None
     accuracy_per_class: dict[int, float]
     logloss: float
-    p1_predicted_positive_rate: float | None
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -432,9 +427,7 @@ def evaluate(model: ClassifierModel, test: LabeledDataset,
     ``recall_p1`` is the true-positive rate for ``positive_label`` within
     the forget-tagged slice; ``macro_f1_p2`` averages per-class F1 over the
     classes present in the preserve slice; per-class accuracy covers the
-    whole test set; ``p1_predicted_positive_rate`` is the fraction of
-    forget-slice rows predicted positive regardless of their true label
-    (the group-tag variant of recall).
+    whole test set.
     """
     proba = predict_proba(model, test.features)
     preds = model.classes[np.argmax(proba, axis=1)]
@@ -446,9 +439,6 @@ def evaluate(model: ClassifierModel, test: LabeledDataset,
     pos_mask = p1_mask & (test.labels == positive_label)
     if pos_mask.any():
         recall_p1 = float(np.mean(preds[pos_mask] == positive_label))
-    p1_predicted_positive = None
-    if p1_mask.any():
-        p1_predicted_positive = float(np.mean(preds[p1_mask] == positive_label))
 
     macro_f1 = None
     if p2_mask.any():
@@ -476,5 +466,4 @@ def evaluate(model: ClassifierModel, test: LabeledDataset,
         macro_f1_p2=macro_f1,
         accuracy_per_class=per_class,
         logloss=float(np.mean(losses)),
-        p1_predicted_positive_rate=p1_predicted_positive,
     )

@@ -50,29 +50,22 @@ __all__ = [
 FEATURE_RULES = ("norm", "cos-mu2", "lr-cos", "knn-ratio", "maha-mu2", "lr-maha", "random")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RemovalPlan:
-    """Forget-partition row indices to delete, as a read-only int64 array.
+    """Forget-partition row indices to delete, as a read-only int64 array;
+    the budget is their count.
 
     Any int sequence is accepted and copied.  Plans from scores list the
     indices in priority order; ``random_removal`` lists them sorted.
     """
 
     rule: str
-    budget_f: int
     removed_indices: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         removed = np.array(self.removed_indices, dtype=np.int64)
         removed.setflags(write=False)
         object.__setattr__(self, "removed_indices", removed)
-        if self.budget_f < 0:
-            raise ValueError("budget_f must be >= 0")
-        if removed.size != self.budget_f:
-            raise ValueError(
-                f"plan has {removed.size} indices but budget_f={self.budget_f}"
-            )
         if removed.size == 0:
             return
         # Negatives are rejected first: they would wrap in the mask below.
@@ -88,17 +81,6 @@ class RemovalPlan:
         if not distinct:
             raise ValueError("removed_indices must be distinct")
 
-    # By value: the generated dataclass methods would compare the index
-    # arrays elementwise and could not hash them.
-    def _key(self):
-        return (self.rule, self.budget_f, self.seed, self.removed_indices.tobytes())
-
-    def __eq__(self, other):
-        return isinstance(other, RemovalPlan) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 @dataclass(frozen=True)
 class ScoredSample:
@@ -113,7 +95,8 @@ class ScoringParams:
 
     ``sigma`` is the kernel bandwidth for ``knn-ratio``; when None it
     defaults to the median pairwise distance within the pooled rows
-    (subsampled by a deterministic stride above ``bandwidth_cap`` rows).
+    (subsampled by a deterministic stride above ``bandwidth_cap`` rows,
+    which must then be at least 2).
     ``ridge_scale`` multiplies trace(Sigma)/d for the Mahalanobis ridge.
     ``seed`` feeds the ``random`` rule only.
     """
@@ -135,7 +118,7 @@ def random_removal(n1: int, f: int, seed: int) -> RemovalPlan:
         raise ValueError(f"budget f={f} must satisfy 0 <= f <= n1={n1}")
     gen = rnglib.generator(seed, "random-removal")
     picked = np.sort(gen.permutation(n1)[:f])
-    return RemovalPlan(rule="random", budget_f=f, removed_indices=picked, seed=int(seed))
+    return RemovalPlan(rule="random", removed_indices=picked)
 
 
 def selective_removal_gaussian(samples_p1, samples_p2, f: int) -> RemovalPlan:
@@ -153,8 +136,7 @@ def selective_removal_gaussian(samples_p1, samples_p2, f: int) -> RemovalPlan:
     if not 0 <= f <= x1.size:
         raise ValueError(f"budget f={f} must satisfy 0 <= f <= {x1.size}")
     scores = np.abs(x1 - x2.mean())
-    return RemovalPlan(rule="selective-gaussian", budget_f=f,
-                       removed_indices=_priority_order(scores)[:f], seed=0)
+    return RemovalPlan(rule="selective-gaussian", removed_indices=_priority_order(scores)[:f])
 
 
 def _priority_order(scores: np.ndarray) -> np.ndarray:
@@ -162,7 +144,7 @@ def _priority_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def plan_from_scores(scored: list[ScoredSample], rule: str, f: int, seed: int = 0) -> RemovalPlan:
+def plan_from_scores(scored: list[ScoredSample], rule: str, f: int) -> RemovalPlan:
     """Top-f plan from a scored sample sequence (score desc, index asc).
 
     The plan for budget f is the first f entries of the plan for any larger
@@ -176,7 +158,7 @@ def plan_from_scores(scored: list[ScoredSample], rule: str, f: int, seed: int = 
     # when ``scored`` is not listed by index.
     by_index = np.argsort(indices, kind="stable")
     order = by_index[_priority_order(scores[by_index])]
-    return RemovalPlan(rule=rule, budget_f=f, removed_indices=indices[order[:f]], seed=seed)
+    return RemovalPlan(rule=rule, removed_indices=indices[order[:f]])
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +247,8 @@ def _kth_nearest(a, b, k: int, exclude_self: bool = False) -> np.ndarray:
 
 
 def _median_pairwise_distance(pooled, cap: int) -> float:
+    """Median distance between rows; ``pooled`` has at least 2 rows and
+    ``cap`` is at least 2, so at least 2 rows remain after subsampling."""
     n = pooled.shape[0]
     if n > cap:
         # Deterministic stride subsample keeps the estimate reproducible
@@ -273,8 +257,6 @@ def _median_pairwise_distance(pooled, cap: int) -> float:
         positions = np.unique(positions)
         pooled = pooled[positions]
         n = pooled.shape[0]
-    if n < 2:
-        return 1.0
     # Upper triangle (i < j), row by row, in one preallocated vector.
     upper = np.empty(n * (n - 1) // 2)
     start = 0
@@ -368,6 +350,9 @@ def score_features(features_p1, features_p2, rule: str,
             if sigma <= 0:
                 raise ValueError("sigma must be positive")
         else:
+            if params.bandwidth_cap < 2:
+                raise ValueError(f"bandwidth_cap={params.bandwidth_cap} leaves fewer than 2 "
+                                 "rows for the knn-ratio bandwidth; need bandwidth_cap >= 2")
             pooled = sp.vstack([x1, x2]) if sp.issparse(x1) else np.vstack([_dense(x1), _dense(x2)])
             sigma = _median_pairwise_distance(pooled, params.bandwidth_cap)
             if sigma == 0.0:
@@ -400,7 +385,7 @@ def apply_plan(dataset: LabeledDataset, plan: RemovalPlan) -> LabeledDataset:
     """
     p1_pos = dataset.p1_positions()
     removed = plan.removed_indices
-    if removed.size and (removed.min() < 0 or removed.max() >= p1_pos.size):
+    if removed.size and removed.max() >= p1_pos.size:
         raise ValueError(
             f"plan index out of range for a forget partition of {p1_pos.size} rows"
         )

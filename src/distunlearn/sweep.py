@@ -321,8 +321,7 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
             model = None  # the chain's last fit, which warm-starts the next
             for b_idx, budget, f, removed in _budget_plans(config, rule, n1_train, seed, ranked):
                 try:
-                    edited = apply_plan(train, RemovalPlan(rule=rule, budget_f=f,
-                                                           removed_indices=removed))
+                    edited = apply_plan(train, RemovalPlan(rule=rule, removed_indices=removed))
                     reduced = downsample_p2(
                         edited, pipeline.downsample_ratio,
                         derive_seed(config.master_seed, "downsample", rule, b_idx, seed))
@@ -377,10 +376,7 @@ def budget_to_reach(result: SweepResult, rule: str, metric: str, target: float,
             if previous is None:
                 return b
             b_prev, m_prev = previous
-            denom = m_prev - mean
-            if denom == 0.0:
-                return b
-            frac = (m_prev - target) / denom
+            frac = (m_prev - target) / (m_prev - mean)
             return b_prev + (b - b_prev) * frac
         previous = (b, mean)
     return None
@@ -449,7 +445,8 @@ def result_rows(result: SweepResult) -> tuple[list[str], list[dict]]:
 
 
 def emit(data, format: str, path, fieldnames: list[str] | None = None) -> None:
-    """Write a sweep result or a sequence of row mappings to disk.
+    """Write a sweep result, or a sequence of row mappings with its
+    ``fieldnames``, to disk.
 
     Bit-deterministic: fixed column order and LF line endings.  CSV writes
     floats at 17 significant digits and quotes only fields holding a comma,
@@ -462,13 +459,9 @@ def emit(data, format: str, path, fieldnames: list[str] | None = None) -> None:
     if isinstance(data, SweepResult):
         fields, rows = result_rows(data)
     else:
-        rows = list(data)
-        if fieldnames is not None:
-            fields = list(fieldnames)
-        elif rows:
-            fields = list(rows[0].keys())
-        else:
-            raise ValueError("emitting an empty row sequence requires explicit fieldnames")
+        if fieldnames is None:
+            raise ValueError("emitting a row sequence requires explicit fieldnames")
+        rows, fields = list(data), list(fieldnames)
     if format not in ("csv", "json-lines"):
         raise ValueError(f"unknown format {format!r}; use 'csv' or 'json-lines'")
     try:

@@ -15,24 +15,22 @@ from .data_io import TextCorpus
 
 __all__ = ["two_cluster_corpus"]
 
+DOC_LEN = (8, 16)  # shortest and longest document, in tokens
+
 
 def two_cluster_corpus(n_p1: int = 200, n_p2: int = 800, seed: int = 0,
                        n_specific: int = 20, n_shared: int = 60,
-                       specific_frac: float = 0.35,
-                       doc_len: tuple[int, int] = (8, 16)) -> TextCorpus:
+                       specific_frac: float = 0.35) -> TextCorpus:
     """Two-cluster corpus: label 1 = forget topic, label 0 = preserve topic.
 
-    Each document draws ``doc_len`` tokens; a token comes from the cluster's
-    specific vocabulary with probability ``specific_frac`` and from the
-    shared vocabulary otherwise.
+    Each document draws its length uniformly from ``DOC_LEN`` (both ends
+    included); a token comes from the cluster's specific vocabulary with
+    probability ``specific_frac`` and from the shared vocabulary otherwise.
     """
     if n_p1 < 1 or n_p2 < 1:
         raise ValueError("both clusters need at least one document")
     if not 0.0 < specific_frac < 1.0:
         raise ValueError("specific_frac must lie in (0, 1)")
-    lo, hi = doc_len
-    if not 1 <= lo <= hi:
-        raise ValueError("doc_len must be an increasing positive pair")
     spam_words = [f"spamword{i:02d}" for i in range(n_specific)]
     ham_words = [f"hamword{i:02d}" for i in range(n_specific)]
     shared = [f"common{i:02d}" for i in range(n_shared)]
@@ -41,7 +39,7 @@ def two_cluster_corpus(n_p1: int = 200, n_p2: int = 800, seed: int = 0,
     ids, labels, texts = [], [], []
     for label, count, specific in ((1, n_p1, spam_words), (0, n_p2, ham_words)):
         for i in range(count):
-            length = int(gen.integers(lo, hi + 1))
+            length = int(gen.integers(DOC_LEN[0], DOC_LEN[1] + 1))
             tokens = []
             for _ in range(length):
                 if gen.random() < specific_frac:

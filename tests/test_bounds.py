@@ -238,6 +238,12 @@ class TestBudgetSelective:
         assert not res.applicable
         assert "n2" in res.reason
 
+    def test_divergence_below_four_alpha_named(self):
+        res = budget_selective(1000, 1000, 0.1, 0.125, 0.05, 0.01)
+        assert not res.applicable
+        assert res.binding == "inapplicable"
+        assert res.reason == "D=0.125 < 4 alpha = 0.2"
+
     def test_no_budget_meets_the_exact_bound(self):
         # The closed forms clamp to f = n1 = 1, but bound_selective is
         # inapplicable there, so no budget carries a guarantee.

@@ -66,6 +66,13 @@ class TestConfigErrors:
         (["experiment", "--set", "dataset.kind=synthetic",
           "--set", "sweep.rules=random,tfidf-norm"],
          ["experiment input", "'tfidf-norm'", "'norm'", "'lr-cos'"]),
+        # no dataset kind, and a knn-ratio bandwidth estimate from fewer
+        # than two rows
+        (["score"], ["dataset.kind", "synthetic"]),
+        (["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=knn-ratio",
+          "--set", "scoring.bandwidth_cap=1"], ["score input", "bandwidth_cap=1"]),
+        (["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=knn-ratio",
+          "--set", "scoring.bandwidth_cap=0"], ["score input", "bandwidth_cap=0"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
@@ -75,6 +82,22 @@ class TestConfigErrors:
         assert message.startswith("invalid ") and "\n" not in message
         for name in names:
             assert name in message
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--set", "bounds.n1", "--out", "{out}"],
+         "--set expects section.key=value, got 'bounds.n1'"),
+        (["bounds", "--set", "n1=5", "--out", "{out}"],
+         "--set expects section.key=value, got 'n1=5'"),
+        (["bounds"], "no output path: pass --out or set [output] path"),
+    ])
+    def test_exits_with_one_line(self, tmp_path, argv, message):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            run([arg.format(out=out) for arg in argv])
+        assert str(info.value) == message
         assert not out.exists()
 
 
@@ -203,6 +226,17 @@ class TestBoundsCommand:
         budget_rows = [l for l in lines[1:] if l.split(",")[-1] != ""]
         assert len(budget_rows) == 2  # one solved budget per mechanism
 
+    def test_unmet_targets_report_one_line_and_no_budget_row(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        code = run(["bounds", "--set", "bounds.mechanisms=selective",
+                    "--set", "bounds.target_alpha=1", "--set", "bounds.target_epsilon=0.01",
+                    "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "selective: budget inapplicable (D=0.125 < 4 alpha = 4.0)"]
+        rows = out.read_text().splitlines()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == list(range(0, 1001, 50))
+        assert all(row.endswith(",") for row in rows)  # no binding constraint
 
     def test_default_grid_for_odd_n1_stops_at_n1(self, tmp_path):
         out = tmp_path / "bounds.csv"

@@ -77,6 +77,22 @@ class TestLoadFeaturesCsv:
         ds = load_features_csv(path, self.SCHEMA)
         np.testing.assert_array_equal(ds.features, values)
 
+    def test_short_row_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "id,x0,label,group\na,1.0,0,P1\nb,2.0,1\n")
+        with pytest.raises(ValueError, match="row 3 has 3 cells, expected 4"):
+            load_features_csv(path, self.SCHEMA)
+
+    def test_non_integer_label_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "id,x0,label,group\na,1.0,1.5,P1\n")
+        with pytest.raises(ValueError, match="row 2: non-integer label '1.5'"):
+            load_features_csv(path, self.SCHEMA)
+
+    def test_ids_default_to_row_numbers(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "x0,label,group\n1.0,0,P1\n2.0,1,P2\n3.0,0,P2\n")
+        ds = load_features_csv(path, {"label_col": "label", "group_col": "group"})
+        assert list(ds.row_ids) == ["0", "1", "2"]
+        np.testing.assert_array_equal(ds.features, [[1.0], [2.0], [3.0]])
+
     def test_missing_rows_is_error(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "id,x0,label,group\n")
         with pytest.raises(ValueError, match="no data rows"):
@@ -343,6 +359,12 @@ class TestTextTsv:
         path.write_text("a\t1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="3 tab-separated"):
             load_text_tsv(path)
+
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("a\t1\thello\n\nb\t0\tworld\n", encoding="utf-8")
+        assert load_text_tsv(path) == TextCorpus(ids=("a", "b"), labels=(1, 0),
+                                                 texts=("hello", "world"))
 
     def test_non_integer_label_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

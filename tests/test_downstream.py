@@ -297,7 +297,7 @@ class TestTrainLogistic:
 
         ref = minimize(objective, np.zeros(12), jac=True, method="BFGS",
                        options={"gtol": 1e-12, "maxiter": 10000})
-        assert model.training_meta.final_objective == pytest.approx(ref.fun, abs=1e-9)
+        assert model.training_meta.objective_trace[-1] == pytest.approx(ref.fun, abs=1e-9)
         params = np.concatenate([model.weights.ravel(), model.bias])
         assert objective(params)[0] == pytest.approx(ref.fun, abs=1e-9)
 
@@ -418,7 +418,6 @@ class TestEvaluate:
         model = train_logistic(ds_all_p2, 1e-3, max_iter=500, tol=1e-8)
         metrics = evaluate(model, ds_all_p2)
         assert metrics.recall_p1 is None
-        assert metrics.p1_predicted_positive_rate is None
         ds_all_p1 = LabeledDataset(features=feats, labels=[1, 0],
                                    group=["P1", "P1"], row_ids=["a", "b"])
         metrics = evaluate(model, ds_all_p1)

@@ -35,49 +35,30 @@ def make_dataset(n1=4, n2=6, d=3, seed=0):
 class TestRemovalPlan:
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError, match="distinct"):
-            RemovalPlan(rule="random", budget_f=2, removed_indices=(1, 1))
-
-    def test_rejects_budget_mismatch(self):
-        with pytest.raises(ValueError):
-            RemovalPlan(rule="random", budget_f=3, removed_indices=(1, 2))
+            RemovalPlan(rule="random", removed_indices=(1, 1))
 
     @pytest.mark.parametrize("container", [tuple, np.array])
-    @pytest.mark.parametrize("budget_f, indices, match", [
-        (2, (1, 1), "distinct"),
-        (2, (2**40, 2**40), "distinct"),
-        (3, (1, 2), "indices but budget_f=3"),
-        (2, (0, -1), "non-negative"),
+    @pytest.mark.parametrize("indices, match", [
+        ((1, 1), "distinct"),
+        ((2**40, 2**40), "distinct"),
+        ((0, -1), "non-negative"),
     ])
-    def test_errors_for_tuple_and_array(self, container, budget_f, indices, match):
+    def test_errors_for_tuple_and_array(self, container, indices, match):
         with pytest.raises(ValueError, match=match):
-            RemovalPlan(rule="random", budget_f=budget_f, removed_indices=container(indices))
+            RemovalPlan(rule="random", removed_indices=container(indices))
 
     def test_far_out_distinct_indices_accepted(self):
-        plan = RemovalPlan(rule="random", budget_f=2, removed_indices=(2**40, 0))
+        plan = RemovalPlan(rule="random", removed_indices=(2**40, 0))
         assert plan.removed_indices.tolist() == [2**40, 0]
 
     def test_indices_are_a_read_only_int64_copy(self):
         source = np.array([4, 2, 7])
-        plan = RemovalPlan(rule="random", budget_f=3, removed_indices=source)
+        plan = RemovalPlan(rule="random", removed_indices=source)
         source[0] = 0
         assert plan.removed_indices.dtype == np.int64
         assert plan.removed_indices.tolist() == [4, 2, 7]
         with pytest.raises(ValueError, match="read-only"):
             plan.removed_indices[0] = 1
-
-    def test_equal_plans_compare_and_hash_alike(self):
-        a = RemovalPlan(rule="norm", budget_f=3, removed_indices=(4, 2, 7), seed=1)
-        b = RemovalPlan(rule="norm", budget_f=3, removed_indices=np.array([4, 2, 7]), seed=1)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-
-    def test_plans_differing_in_one_index_differ(self):
-        a = RemovalPlan(rule="norm", budget_f=3, removed_indices=(4, 2, 7))
-        for other in ((4, 2, 8), (2, 4, 7)):
-            b = RemovalPlan(rule="norm", budget_f=3, removed_indices=other)
-            assert a != b
-            assert len({a, b}) == 2
 
 
 class TestRandomRemoval:
@@ -91,7 +72,7 @@ class TestRandomRemoval:
     def test_deterministic(self):
         a = random_removal(1000, 100, seed=1)
         b = random_removal(1000, 100, seed=1)
-        assert (a.rule, a.budget_f, a.seed) == (b.rule, b.budget_f, b.seed)
+        assert a.rule == b.rule
         assert np.array_equal(a.removed_indices, b.removed_indices)
 
     def test_seed_changes_selection(self):
@@ -200,6 +181,13 @@ class TestScoreFeatures:
         assert scored[0].flag == "zero_norm"
         assert scored[1].flag is None
 
+    def test_zero_preserve_mean_flags_every_row_once(self):
+        p1 = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+        with pytest.warns(UserWarning) as record:
+            scored = score_features(p1, np.zeros((2, 2)), "cos-mu2")
+        assert len(record) == 1 and "3 zero-norm row(s)" in str(record[0].message)
+        assert [(s.score, s.flag) for s in scored] == [(0.0, "zero_norm")] * 3
+
     def test_lr_cos_prefers_far_from_preserve_close_to_forget(self):
         p1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         p2 = np.array([[0.0, 1.0]])
@@ -219,6 +207,15 @@ class TestScoreFeatures:
         p2 = np.zeros((2, 2))
         with pytest.raises(ValueError, match="out of range"):
             score_features(p1, p2, "knn-ratio", ScoringParams(k=3))
+
+    @pytest.mark.parametrize("cap", [1, 0, -5])
+    def test_knn_bandwidth_cap_below_two_rejected(self, cap):
+        gen = np.random.default_rng(0)
+        p1, p2 = gen.normal(size=(6, 2)), gen.normal(size=(6, 2))
+        with pytest.raises(ValueError, match=f"bandwidth_cap={cap} .*need bandwidth_cap >= 2"):
+            score_features(p1, p2, "knn-ratio", ScoringParams(k=2, bandwidth_cap=cap))
+        # A given bandwidth needs no estimate, so the cap is not read.
+        score_features(p1, p2, "knn-ratio", ScoringParams(k=2, sigma=1.0, bandwidth_cap=cap))
 
     def test_knn_default_bandwidth_deterministic(self):
         gen = np.random.default_rng(0)
@@ -419,14 +416,14 @@ class TestPlanFromScores:
 class TestApplyPlan:
     def test_empty_plan_is_identity(self):
         ds = make_dataset()
-        out = apply_plan(ds, RemovalPlan(rule="random", budget_f=0, removed_indices=()))
+        out = apply_plan(ds, RemovalPlan(rule="random", removed_indices=()))
         assert out.n == ds.n
         assert list(out.row_ids) == list(ds.row_ids)
         np.testing.assert_array_equal(out.features, ds.features)
 
     def test_full_plan_clears_forget_partition(self):
         ds = make_dataset(n1=4, n2=6)
-        plan = RemovalPlan(rule="random", budget_f=4, removed_indices=(0, 1, 2, 3))
+        plan = RemovalPlan(rule="random", removed_indices=(0, 1, 2, 3))
         out = apply_plan(ds, plan)
         assert out.p1_positions().size == 0
         assert out.p2_positions().size == 6
@@ -455,8 +452,7 @@ class TestApplyPlan:
         p1, p2 = ds.p1_positions(), ds.p2_positions()
         order = data.draw(st.permutations(range(p1.size)))
         removed = order[:data.draw(st.integers(0, p1.size))]
-        out = apply_plan(ds, RemovalPlan(rule="norm", budget_f=len(removed),
-                                         removed_indices=removed))
+        out = apply_plan(ds, RemovalPlan(rule="norm", removed_indices=removed))
 
         def rows(dataset, positions):
             return (mechanisms._dense(dataset.features[positions]),
@@ -472,6 +468,6 @@ class TestApplyPlan:
 
     def test_out_of_range_index_rejected(self):
         ds = make_dataset(n1=3)
-        plan = RemovalPlan(rule="random", budget_f=1, removed_indices=(3,))
+        plan = RemovalPlan(rule="random", removed_indices=(3,))
         with pytest.raises(ValueError, match="out of range"):
             apply_plan(ds, plan)

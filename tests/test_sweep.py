@@ -325,6 +325,26 @@ class TestBudgetAnalysis:
         value = saving(result, "slow", "fast", "m")
         assert value == pytest.approx(1.0 - 0.18 / 0.65, abs=1e-12)
 
+    def test_budget_to_reach_at_first_swept_budget(self):
+        result = fabricated_result({0.2: 1.0, 0.6: 0.5})
+        assert budget_to_reach(result, "r", "m", 1.5) == 0.2
+        assert budget_to_reach(result, "r", "m", 0.2, "up") == 0.2
+
+    def test_saving_undefined_for_zero_baseline_budget(self):
+        # The baseline's metric starts at 0, so budget 0 meets its half target.
+        rows = fabricated_result({0.0: 0.0, 1.0: 0.0}, rule="base").rows
+        rows += fabricated_result({0.0: 1.0, 1.0: 0.2}).rows
+        result = SweepResult(rows=rows, metric_names=("m",))
+        with pytest.warns(UserWarning, match="baseline half-target budget is zero"):
+            assert saving(result, "base", "r", "m") is None
+
+    def test_cell_missing_raises_key_error(self):
+        result = fabricated_result({0.0: 1.0})
+        assert result.cell("r", 0.0, 0).metrics == {"m": 1.0}
+        for coords in (("r", 0.5, 0), ("r", 0.0, 1), ("q", 0.0, 0)):
+            with pytest.raises(KeyError):
+                result.cell(*coords)
+
     def test_saving_undefined_when_not_reached(self):
         result = fabricated_result({0.0: 1.0, 1.0: 0.9})
         assert saving(result, "r", "r", "m") is None
@@ -435,6 +455,12 @@ class TestEmit:
         emit([{"x": value}], "csv", path, fieldnames=["x"])
         parsed = float(path.read_text().splitlines()[1])
         assert parsed == value
+
+    def test_rows_without_fieldnames_rejected(self, tmp_path):
+        for rows in ([{"x": 1}], []):
+            with pytest.raises(ValueError, match="requires explicit fieldnames"):
+                emit(rows, "csv", tmp_path / "o.csv")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
