@@ -48,12 +48,7 @@ class GuaranteeBound:
 
     alpha_lower: float
     epsilon_upper: float
-    delta: float
-    f: int
-    n1: int
-    n2: int
     divergence_D: float
-    mechanism: str
     applicable: bool = True
     quantile_arg: float | None = None
 
@@ -108,10 +103,7 @@ def bound_random(n1: int, n2: int, f: int, delta: float, divergence_D: float) ->
     big_l = math.log(4.0 / delta)
     alpha = (0.5 - 3.0 * r * r) * divergence_D - (3.0 * big_l / (2.0 * n2)) * (1.0 + r)
     epsilon = 3.0 * r * r * divergence_D + (3.0 * big_l / n2) * (1.0 + r)
-    return GuaranteeBound(
-        alpha_lower=alpha, epsilon_upper=epsilon, delta=delta, f=f, n1=n1, n2=n2,
-        divergence_D=divergence_D, mechanism="random",
-    )
+    return GuaranteeBound(alpha_lower=alpha, epsilon_upper=epsilon, divergence_D=divergence_D)
 
 
 def bound_selective(n1: int, n2: int, f: int, delta: float, divergence_D: float) -> GuaranteeBound:
@@ -127,20 +119,15 @@ def bound_selective(n1: int, n2: int, f: int, delta: float, divergence_D: float)
     big_l = math.log(4.0 / delta)
     q = 1.0 - f / n1 + math.sqrt(big_l / (2.0 * n1))
     if not 0.0 < q < 1.0:
-        return GuaranteeBound(
-            alpha_lower=math.nan, epsilon_upper=math.nan, delta=delta, f=f,
-            n1=n1, n2=n2, divergence_D=divergence_D, mechanism="selective",
-            applicable=False, quantile_arg=q,
-        )
+        return GuaranteeBound(alpha_lower=math.nan, epsilon_upper=math.nan,
+                              divergence_D=divergence_D, applicable=False, quantile_arg=q)
     u = g_inverse(q, divergence_D)
     r = (n1 - f) / n2
     main = r * r * u * u
     alpha = 0.5 * divergence_D - 0.5 * main - big_l / n2
     epsilon = main + 2.0 * big_l / n2
-    return GuaranteeBound(
-        alpha_lower=alpha, epsilon_upper=epsilon, delta=delta, f=f, n1=n1, n2=n2,
-        divergence_D=divergence_D, mechanism="selective", quantile_arg=q,
-    )
+    return GuaranteeBound(alpha_lower=alpha, epsilon_upper=epsilon,
+                          divergence_D=divergence_D, quantile_arg=q)
 
 
 def deviation_terms(n: int, delta: float, sigma: float) -> tuple[float, float]:

@@ -257,6 +257,9 @@ def _cmd_bounds(args) -> int:
         if not float(f).is_integer():
             raise ValueError(f"bounds.f entry {f!r} is not a whole row count")
     targets = (bounds["target_alpha"], bounds["target_epsilon"])
+    if targets.count(None) == 1:
+        missing = "target_alpha" if targets[0] is None else "target_epsilon"
+        raise ValueError(f"bounds.{missing} is unset; a budget needs both targets")
 
     def row(mechanism, f, binding=""):
         b = BOUND_MECHANISMS[mechanism][0](n1, n2, f, delta, divergence)

@@ -55,8 +55,8 @@ class RemovalPlan:
     """Forget-partition row indices to delete, as a read-only int64 array;
     the budget is their count.
 
-    Any int sequence is accepted and copied.  Plans from scores list the
-    indices in priority order; ``random_removal`` lists them sorted.
+    Any int sequence is accepted and copied.  Every plan lists its rows in
+    deletion order, so a plan's first f rows are the plan for budget f.
     """
 
     rule: str
@@ -109,7 +109,11 @@ class ScoringParams:
 
 
 def random_removal(n1: int, f: int, seed: int) -> RemovalPlan:
-    """Delete f of n1 forget-side rows uniformly without replacement."""
+    """Delete f of n1 forget-side rows uniformly without replacement.
+
+    The rows are the first f of one seeded permutation, in draw order, so
+    for a fixed seed the plan for budget f is a prefix of the plan for n1.
+    """
     n1 = int(n1)
     f = int(f)
     if n1 < 0:
@@ -117,8 +121,7 @@ def random_removal(n1: int, f: int, seed: int) -> RemovalPlan:
     if not 0 <= f <= n1:
         raise ValueError(f"budget f={f} must satisfy 0 <= f <= n1={n1}")
     gen = rnglib.generator(seed, "random-removal")
-    picked = np.sort(gen.permutation(n1)[:f])
-    return RemovalPlan(rule="random", removed_indices=picked)
+    return RemovalPlan(rule="random", removed_indices=gen.permutation(n1)[:f])
 
 
 def selective_removal_gaussian(samples_p1, samples_p2, f: int) -> RemovalPlan:

@@ -5,7 +5,7 @@ choice in a cell comes from a sub-stream derived from the master seed and
 the cell coordinates (see :mod:`distunlearn.rng`):
 
     samples / split / featurization : (master, "samples"|"split", seed)
-    plan                            : (master, "plan", rule, budget_idx, seed)
+    random deletion order           : (master, "plan", rule, seed)
     p2 downsampling                 : (master, "downsample", rule, budget_idx, seed)
 
 Classifier training draws no randomness.  Within one (seed, rule), each
@@ -13,9 +13,8 @@ budget's fit starts from the previous budget's optimum when both training
 sets have the same classes, and from zero otherwise; every fit still
 iterates to ``tol``, so each metric is that of an optimum to within ``tol``.
 
-Ranked rules rank each seed's forget rows once, and every budget's plan is
-a prefix of that ranking.  Random plans still draw one permutation per
-budget from the plan sub-stream above.
+Every rule ranks each seed's forget rows once, and every budget's plan is
+a prefix of that ranking; ``random`` ranks by one seeded permutation.
 
 Sampling and splitting deliberately ignore the rule and budget so that
 budget-0 cells coincide across rules for a shared seed.
@@ -194,20 +193,17 @@ class SweepResult:
         return out
 
 
-def _budget_plans(config: SweepConfig, rule: str, n1: int, seed: int,
-                  ranked: np.ndarray | None):
+def _random_ranking(config: SweepConfig, n1: int, seed: int) -> RemovalPlan:
+    """A seed's random deletion order: one seeded permutation of its n1 rows."""
+    return random_removal(n1, n1, derive_seed(config.master_seed, "plan", "random", seed))
+
+
+def _budget_plans(config: SweepConfig, ranked: np.ndarray):
     """Yield ``(budget_idx, budget, f, removed)`` for every budget of a
-    (rule, seed): a fresh random draw per budget for ``random``, else the
-    first f rows of the seed's ``ranked`` forget rows."""
+    (rule, seed): the first f = round(budget * n1) of its ``ranked`` rows."""
     for b_idx, budget in enumerate(config.budget_fractions):
-        f = int(round(budget * n1))
-        if rule == "random":
-            removed = random_removal(
-                n1, f, derive_seed(config.master_seed, "plan", rule, b_idx, seed)
-            ).removed_indices
-        else:
-            removed = ranked[:f]
-        yield b_idx, budget, f, removed
+        f = int(round(budget * ranked.size))
+        yield b_idx, budget, f, ranked[:f]
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +236,10 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
         x1 = gen.normal(0.0, 1.0, n1)
         x2 = gen.normal(mu2, 1.0, n2)
         for rule in config.rules:
-            ranked = (selective_removal_gaussian(x1, x2, n1).removed_indices
-                      if rule == "selective-gaussian" else None)
+            ranked = (_random_ranking(config, n1, seed) if rule == "random"
+                      else selective_removal_gaussian(x1, x2, n1)).removed_indices
             cells = []
-            for _, budget, f, removed in _budget_plans(config, rule, n1, seed, ranked):
+            for _, budget, f, removed in _budget_plans(config, ranked):
                 fit = pooled_mle(np.delete(x1, removed), x2, 1.0)
                 metrics = {"alpha": kl_gaussian(p1_true, fit),
                            "epsilon": kl_gaussian(p2_true, fit), "f": float(f)}
@@ -305,21 +301,21 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
         p2_pos = train.p2_positions()
         n1_train = p1_pos.size
         for rule in config.rules:
-            ranked = None
-            if rule != "random":
-                try:
-                    scored = score_features(train.features[p1_pos],
-                                            train.features[p2_pos],
+            try:
+                if rule == "random":
+                    ranked = _random_ranking(config, n1_train, seed).removed_indices
+                else:
+                    scored = score_features(train.features[p1_pos], train.features[p2_pos],
                                             rule, config.scoring)
                     ranked = plan_from_scores(scored, rule, n1_train).removed_indices
-                except ValueError as exc:
-                    rows += [CellResult(rule=rule, budget_fraction=budget, seed=seed,
-                                        metrics={}, failed=True,
-                                        failure_reason=f"scoring failed: {exc}")
-                             for budget in config.budget_fractions]
-                    continue
+            except ValueError as exc:
+                rows += [CellResult(rule=rule, budget_fraction=budget, seed=seed,
+                                    metrics={}, failed=True,
+                                    failure_reason=f"scoring failed: {exc}")
+                         for budget in config.budget_fractions]
+                continue
             model = None  # the chain's last fit, which warm-starts the next
-            for b_idx, budget, f, removed in _budget_plans(config, rule, n1_train, seed, ranked):
+            for b_idx, budget, f, removed in _budget_plans(config, ranked):
                 try:
                     edited = apply_plan(train, RemovalPlan(rule=rule, removed_indices=removed))
                     reduced = downsample_p2(

@@ -73,6 +73,11 @@ class TestConfigErrors:
           "--set", "scoring.bandwidth_cap=1"], ["score input", "bandwidth_cap=1"]),
         (["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=knn-ratio",
           "--set", "scoring.bandwidth_cap=0"], ["score input", "bandwidth_cap=0"]),
+        # a budget target without its partner
+        (["bounds", "--set", "bounds.target_alpha=0.004"],
+         ["bounds input", "bounds.target_epsilon"]),
+        (["bounds", "--set", "bounds.target_epsilon=0.05"],
+         ["bounds input", "bounds.target_alpha"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"

@@ -84,6 +84,11 @@ class TestRandomRemoval:
         with pytest.raises(ValueError):
             random_removal(5, 6, seed=0)
 
+    def test_plans_are_prefixes_of_the_full_order(self):
+        full = random_removal(40, 40, seed=3).removed_indices
+        for f in range(41):
+            assert np.array_equal(random_removal(40, f, seed=3).removed_indices, full[:f])
+
     def test_roughly_uniform(self):
         counts = np.zeros(20)
         for seed in range(300):

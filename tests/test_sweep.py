@@ -115,11 +115,11 @@ class TestRunGaussianSweep:
             x1, x2 = gen.normal(0.0, 1.0, n), gen.normal(mu2, 1.0, n)
             for rule in config.rules:
                 cells = []
-                for b_idx, budget in enumerate(config.budget_fractions):
+                for budget in config.budget_fractions:
                     f = int(round(budget * n))
                     if rule == "random":
                         plan = random_removal(
-                            n, f, derive_seed(config.master_seed, "plan", rule, b_idx, seed))
+                            n, f, derive_seed(config.master_seed, "plan", rule, seed))
                     else:
                         plan = selective_removal_gaussian(x1, x2, f)
                     fit = pooled_mle(np.delete(x1, plan.removed_indices), x2, 1.0)
@@ -130,6 +130,17 @@ class TestRunGaussianSweep:
                                                  "alpha_remaining": full - alpha})
                              for budget, alpha, eps, f in cells]
         assert run_gaussian_sweep(mu2, n, n, config).rows == expected
+
+    def test_part_of_the_budget_grid_reproduces_its_cells(self):
+        # Plans are prefixes of one ranking per (rule, seed), so a cell
+        # does not depend on which other budgets the grid holds.
+        full = small_gaussian_config(budget_fractions=tuple(round(0.05 * i, 2) for i in range(21)))
+        part = small_gaussian_config(budget_fractions=(0.0, 0.5, 1.0))
+        full_rows = run_gaussian_sweep(0.5, 400, 300, full)
+        part_rows = run_gaussian_sweep(0.5, 400, 300, part).rows
+        assert {row.rule for row in part_rows} == {"random", "selective-gaussian"}
+        assert part_rows == [full_rows.cell(row.rule, row.budget_fraction, row.seed)
+                             for row in part_rows]
 
 
 def feature_dataset_with_mixed_labels(n1=30, n2=90, seed=0):
