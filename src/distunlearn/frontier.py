@@ -199,7 +199,8 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
     family count as +inf and force a bisection step), then evaluates the
     optimal value formula.  The residual |H(lambda*) - alpha| is reported and
     must be <= 1e-9 * max(1, alpha); a larger one (for example where H jumps
-    across the final bracket) raises ValueError.
+    across the final bracket) raises ValueError, naming the steps taken and
+    the bracket the solve ended on.
     """
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
@@ -230,11 +231,16 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
     # secant root of g = log(H / alpha), which tames H's pole at lambda -> 1;
     # the end that stays put for a second step has its g halved (the Illinois
     # rule), so both ends close in.  H(1-) = +inf stands for hi's first value,
-    # and any non-finite end value makes the step a bisection.
+    # and any non-finite end value makes the step a bisection.  The solve
+    # stops at width 1e-15 once H(lo) meets the tolerance or hi lies outside
+    # the family (alpha is then out of reach); otherwise, where a finite H is
+    # steep next to a family boundary, it closes the bracket to adjacent floats.
+    tol = 1e-9 * max(1.0, alpha)
     g_lo, g_hi, last, edge = _log_ratio(h_lo, alpha), math.inf, 0, _EDGE
-    for _ in range(_MAX_STEPS):
+    steps = 0
+    while steps < _MAX_STEPS:
         width = hi - lo
-        if width <= 1e-15:
+        if width <= 1e-15 and (abs(h_lo - alpha) <= tol or g_hi == math.inf):
             break
         span = g_hi - g_lo
         if 0.0 < span < math.inf:
@@ -246,6 +252,9 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
             edge = _EDGE if mid == secant else 2.0 * edge
         else:
             mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
+        steps += 1
         h_mid, theta_mid = _h_of_lambda(family, mid, e1, e2)
         if h_mid < alpha:
             lo, h_lo, theta_lo, g_lo = mid, h_mid, theta_mid, _log_ratio(h_mid, alpha)
@@ -260,10 +269,11 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
     lam, theta_star = lo, theta_lo
     residual = abs(h_lo - alpha)
 
-    if not residual <= 1e-9 * max(1.0, alpha):
+    if not residual <= tol:
         raise ValueError(
-            f"frontier solve failed after {_MAX_STEPS} iterations: "
-            f"|H(lambda) - alpha| = {residual:.3g} (ill-conditioned family spec)"
+            f"frontier solve failed after {steps} steps on the bracket "
+            f"[{lo!r}, {hi!r}]: |H(lambda) - alpha| = {residual:.3g} "
+            f"(ill-conditioned family spec)"
         )
 
     value = max(0.0, family.kl(theta2, theta_star))

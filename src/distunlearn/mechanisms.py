@@ -143,8 +143,18 @@ def selective_removal_gaussian(samples_p1, samples_p2, f: int) -> RemovalPlan:
 
 
 def _priority_order(scores: np.ndarray) -> np.ndarray:
-    """Row indices sorted by (score descending, index ascending)."""
-    return np.argsort(-scores, kind="stable")
+    """Row indices sorted by (score descending, index ascending).
+
+    The default sort is tried first: when the sorted keys strictly increase
+    there are no ties and no NaN, so every correct sort gives this order.
+    Otherwise the stable sort breaks ties by index.
+    """
+    keys = -scores
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.all(ranked[1:] > ranked[:-1]):
+        return order
+    return np.argsort(keys, kind="stable")
 
 
 def plan_from_scores(scored: list[ScoredSample], rule: str, f: int) -> RemovalPlan:

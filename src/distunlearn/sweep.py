@@ -218,6 +218,12 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
     N(mu2, 1); each cell deletes round(budget * n1) forget samples with its
     rule, refits the pooled mean at fixed unit variance, and records
     alpha = KL(p1 || fit) and epsilon = KL(p2 || fit).
+
+    Each (rule, seed) gathers its forget samples once into deletion order,
+    so budget f refits on the view of the rows after the first f, which are
+    exactly the rows its plan keeps.  Those survivors are summed in deletion
+    order; budget 0 refits on the samples in sampled order, so budget-0
+    cells are identical across rules.
     """
     if not math.isfinite(mu2):
         raise ValueError("mu2 must be finite")
@@ -238,9 +244,10 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
         for rule in config.rules:
             ranked = (_random_ranking(config, n1, seed) if rule == "random"
                       else selective_removal_gaussian(x1, x2, n1)).removed_indices
+            in_order = x1[ranked]  # deletion order: budget f keeps in_order[f:]
             cells = []
-            for _, budget, f, removed in _budget_plans(config, ranked):
-                fit = pooled_mle(np.delete(x1, removed), x2, 1.0)
+            for _, budget, f, _ in _budget_plans(config, ranked):
+                fit = pooled_mle(in_order[f:] if f else x1, x2, 1.0)
                 metrics = {"alpha": kl_gaussian(p1_true, fit),
                            "epsilon": kl_gaussian(p2_true, fit), "f": float(f)}
                 cells.append(CellResult(rule, budget, seed, metrics))

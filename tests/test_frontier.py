@@ -230,8 +230,15 @@ class TestExpFamilyGaussian:
             return (0.5 if lam < 0.5 else 2.0) * alpha, family.natural_param_theta1
 
         monkeypatch.setattr(frontier, "_h_of_lambda", jumping_h)
-        with pytest.raises(ValueError, match=r"frontier solve failed.*ill-conditioned"):
+        with pytest.raises(ValueError, match=r"frontier solve failed.*ill-conditioned") as info:
             frontier_expfamily(fam, alpha)
+        # The message names the steps taken and the final bracket, which
+        # closed on the jump to adjacent floats.
+        message = str(info.value)
+        steps = int(message.split("after ")[1].split(" steps")[0])
+        assert 0 < steps < frontier._MAX_STEPS
+        lo, hi = (float(v) for v in message.split("[")[1].split("]")[0].split(", "))
+        assert lo < 0.5 <= hi and np.nextafter(lo, 1.0) == hi
 
     def test_identical_members_rejected(self):
         fam = gaussian_family(1.0, 1.0, 1.0)
@@ -328,6 +335,15 @@ class TestExpFamilySolve:
         assert res.residual <= tol
         if ref_returns:
             assert abs(res.lambda_star - ref[0]) <= 1e-12
+
+    def test_steep_h_next_to_the_bernoulli_boundary(self):
+        # H rises by more than the tolerance across a 1e-15 bracket here, so
+        # the solve closes the bracket to adjacent floats before it checks.
+        fam = bernoulli_family(0.7615964293113475, 0.9624632396331722)
+        alpha = 4.662990261526189
+        res = frontier_expfamily(fam, alpha)
+        assert res.residual <= 1e-9 * alpha
+        assert 0.0 < res.lambda_star < 1.0
 
     def test_exact_root_on_a_bracket_end(self, h_calls):
         # lambda* = 1 - sqrt(D / alpha) = 1/2 is the first bisection point, so

@@ -418,6 +418,24 @@ class TestPlanFromScores:
             previous = plan
 
 
+class TestPriorityOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan]),
+                              st.floats(allow_nan=True, allow_infinity=True)),
+                    min_size=0, max_size=30))
+    def test_matches_stable_sort(self, values):
+        # A few repeated values force ties, +-0.0 compare equal and NaN
+        # sorts last; every case must rank as the stable sort does.
+        scores = np.array(values, dtype=float)
+        expected = np.argsort(-scores, kind="stable")
+        assert mechanisms._priority_order(scores).tolist() == expected.tolist()
+
+    def test_distinct_scores(self):
+        scores = np.random.default_rng(3).normal(size=1000)
+        expected = np.argsort(-scores, kind="stable")
+        assert np.array_equal(mechanisms._priority_order(scores), expected)
+
+
 class TestApplyPlan:
     def test_empty_plan_is_identity(self):
         ds = make_dataset()

@@ -104,32 +104,72 @@ class TestRunGaussianSweep:
         with pytest.raises(ValueError, match="supports rules"):
             run_gaussian_sweep(0.5, 100, 100, config)
 
-    def test_matches_per_cell_reference(self):
-        # Reference: a plan built from scratch for every cell.
-        mu2, n = 0.5, 500
-        config = small_gaussian_config(budget_fractions=(0.0, 0.1, 0.25, 0.5, 0.9, 1.0))
+    @staticmethod
+    def reference_cells(mu2, n, config, refit):
+        """Expected rows from a plan built from scratch for every cell;
+        ``refit(x1, x2, plan, full)`` gives the cell's fit, where ``full`` is
+        the from-scratch plan at f = n."""
         p1, p2 = GaussianModel.univariate(0.0, 1.0), GaussianModel.univariate(mu2, 1.0)
         expected = []
         for seed in config.seeds:
             gen = rnglib.generator(config.master_seed, "samples", seed)
             x1, x2 = gen.normal(0.0, 1.0, n), gen.normal(mu2, 1.0, n)
             for rule in config.rules:
+                def plan_for(f):
+                    if rule == "random":
+                        return random_removal(
+                            n, f, derive_seed(config.master_seed, "plan", rule, seed))
+                    return selective_removal_gaussian(x1, x2, f)
+
+                full = plan_for(n)
                 cells = []
                 for budget in config.budget_fractions:
                     f = int(round(budget * n))
-                    if rule == "random":
-                        plan = random_removal(
-                            n, f, derive_seed(config.master_seed, "plan", rule, seed))
-                    else:
-                        plan = selective_removal_gaussian(x1, x2, f)
-                    fit = pooled_mle(np.delete(x1, plan.removed_indices), x2, 1.0)
+                    plan = plan_for(f)
+                    # every plan is the first f rows of the full plan
+                    assert np.array_equal(plan.removed_indices, full.removed_indices[:f])
+                    fit = refit(x1, x2, plan, full)
                     cells.append((budget, kl_gaussian(p1, fit), kl_gaussian(p2, fit), f))
                 full = cells[-1][1]
                 expected += [CellResult(rule=rule, budget_fraction=budget, seed=seed,
                                         metrics={"alpha": alpha, "epsilon": eps, "f": float(f),
                                                  "alpha_remaining": full - alpha})
                              for budget, alpha, eps, f in cells]
+        return expected
+
+    def test_matches_per_cell_reference(self):
+        # Budget f refits on the rows its plan keeps, summed in deletion
+        # order; budget 0 refits on the samples in sampled order.
+        def refit(x1, x2, plan, full):
+            f = plan.removed_indices.size
+            return pooled_mle(x1[full.removed_indices[f:]] if f else x1, x2, 1.0)
+
+        mu2, n = 0.5, 500
+        config = small_gaussian_config(budget_fractions=(0.0, 0.1, 0.25, 0.5, 0.9, 1.0))
+        expected = self.reference_cells(mu2, n, config, refit)
         assert run_gaussian_sweep(mu2, n, n, config).rows == expected
+
+    def test_agrees_with_refit_in_sampled_order(self):
+        # Summing the survivors in another order moves only the last bits.
+        def refit(x1, x2, plan, full):
+            return pooled_mle(np.delete(x1, plan.removed_indices), x2, 1.0)
+
+        mu2, n = 0.5, 500
+        config = small_gaussian_config(budget_fractions=(0.0, 0.1, 0.25, 0.5, 0.9, 1.0))
+        expected = self.reference_cells(mu2, n, config, refit)
+        rows = run_gaussian_sweep(mu2, n, n, config).rows
+        assert [(r.rule, r.budget_fraction, r.seed) for r in rows] == \
+            [(r.rule, r.budget_fraction, r.seed) for r in expected]
+        for row, ref in zip(rows, expected):
+            if row.budget_fraction in (0.0, 1.0):  # the same rows, in the same order
+                assert row == ref
+                continue
+            assert row.metrics.keys() == ref.metrics.keys()
+            for name in ("alpha", "epsilon", "f"):
+                assert row.metrics[name] == pytest.approx(ref.metrics[name], rel=1e-13, abs=0)
+            # alpha_remaining = alpha at full deletion (exact) minus alpha
+            assert row.metrics["alpha_remaining"] == pytest.approx(
+                ref.metrics["alpha_remaining"], rel=0, abs=1e-13 * ref.metrics["alpha"])
 
     def test_part_of_the_budget_grid_reproduces_its_cells(self):
         # Plans are prefixes of one ranking per (rule, seed), so a cell
