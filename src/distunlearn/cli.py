@@ -28,25 +28,11 @@ import sys
 import numpy as np
 
 from .bounds import bound_random, bound_selective, budget_random, budget_selective
-from .data_io import (
-    TfidfConfig,
-    TfidfVectorizer,
-    load_features_csv,
-    load_text_tsv,
-    read_schema_file,
-)
 from .frontier import bernoulli_family, frontier_expfamily, frontier_gaussian
-from .mechanisms import ScoringParams, score_features
-from .sweep import (
-    PipelineConfig,
-    SweepConfig,
-    emit,
-    half_target_budget,
-    run_dataset_sweep,
-    run_gaussian_sweep,
-    saving,
-)
-from .synthetic import two_cluster_corpus
+from .writer import FORMATS, write_rows
+
+# The sweep, data and scoring modules load scipy.sparse, so only the
+# commands that run them import them.
 
 BOUND_MECHANISMS = {"random": (bound_random, budget_random),
                     "selective": (bound_selective, budget_selective)}
@@ -65,13 +51,22 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    """Comma list of ints, or a..b range (inclusive)."""
+def _parse_seed(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative; a seed is a non-negative integer")
+    return value
+
+
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    """Comma list of seeds, or a..b range (inclusive)."""
     text = text.strip()
     if ".." in text:
-        lo, hi = (int(p) for p in text.split(".."))
+        lo, hi = (_parse_seed(p) for p in text.split(".."))
+        if hi < lo:
+            raise ValueError(f"range {text!r}: the end precedes the start")
         return tuple(range(lo, hi + 1))
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    return tuple(_parse_seed(p) for p in text.split(",") if p.strip())
 
 
 def _parse_names(text: str) -> tuple[str, ...]:
@@ -99,11 +94,11 @@ def _one_of(*allowed: str):
 KEYS = {
     "sweep": {"rules": (_parse_names, None),
               "budgets": (_parse_floats, tuple(round(0.05 * i, 2) for i in range(21))),
-              "seeds": (_parse_ints, tuple(range(5))), "master_seed": (int, 0)},
+              "seeds": (_parse_seeds, tuple(range(5))), "master_seed": (_parse_seed, 0)},
     "gaussian": {"mu2": (float, 0.5), "n1": (int, 1000), "n2": (int, 1000)},
     "dataset": {"kind": (_one_of("tsv", "csv", "synthetic"), None), "path": (str, None),
                 "schema": (str, None), "n_p1": (int, 240), "n_p2": (int, 960),
-                "seed": (int, 1), "n_specific": (int, 12), "n_shared": (int, 60),
+                "seed": (_parse_seed, 1), "n_specific": (int, 12), "n_shared": (int, 60),
                 "specific_frac": (float, 0.2)},
     "tfidf": {"max_features": (int, 20000), "ngram_min": (int, 1), "ngram_max": (int, 2),
               "sublinear_tf": (_parse_bool, True), "min_df": (int, 1),
@@ -112,7 +107,7 @@ KEYS = {
                  "p1_label": (int, 1)},
     "train": {"l2_strength": (float, 1e-3), "max_iter": (int, 500), "tol": (float, 1e-6)},
     "scoring": {"k": (int, 10), "sigma": (float, None), "ridge_scale": (float, 1e-6),
-                "seed": (int, 0), "bandwidth_cap": (int, 2048)},
+                "seed": (_parse_seed, 0), "bandwidth_cap": (int, 2048)},
     "score": {"rule": (str, "cos-mu2")},
     "frontier": {"family": (_one_of("gaussian", "bernoulli"), "gaussian"),
                  "divergence": (float, None), "mu1": (float, 0.0), "mu2": (float, 2.0),
@@ -124,7 +119,7 @@ KEYS = {
                                                      _parse_names(text))),
                               tuple(BOUND_MECHANISMS)),
                "target_alpha": (float, None), "target_epsilon": (float, None)},
-    "output": {"path": (str, None), "format": (_one_of("csv", "json-lines"), "csv")},
+    "output": {"path": (str, None), "format": (_one_of(*FORMATS), "csv")},
 }
 
 
@@ -173,17 +168,25 @@ def _load_config(args) -> dict[str, dict]:
     return cfg
 
 
-def _sweep_config(cfg, args, default_rules: tuple[str, ...]) -> SweepConfig:
+def _sweep_config(cfg, args, default_rules: tuple[str, ...]):
+    from .mechanisms import ScoringParams
+    from .sweep import SweepConfig
+
     sweep = cfg["sweep"]
+    master_seed = sweep["master_seed"]
+    if args.seed is not None:
+        with _config_errors("--seed"):
+            master_seed = _parse_seed(args.seed)
     with _config_errors("[sweep] config"):
         return SweepConfig(
             rules=sweep["rules"] or default_rules, budget_fractions=sweep["budgets"],
-            seeds=sweep["seeds"],
-            master_seed=sweep["master_seed"] if args.seed is None else args.seed,
+            seeds=sweep["seeds"], master_seed=master_seed,
             scoring=ScoringParams(**cfg["scoring"]))
 
 
-def _tfidf_config(cfg) -> TfidfConfig:
+def _tfidf_config(cfg):
+    from .data_io import TfidfConfig
+
     with _config_errors("[tfidf] config"):
         return TfidfConfig(**cfg["tfidf"])
 
@@ -196,6 +199,9 @@ def _output(cfg, args):
 
 
 def _load_dataset(cfg):
+    from .data_io import load_features_csv, load_text_tsv, read_schema_file
+    from .synthetic import two_cluster_corpus
+
     synthetic = dict(cfg["dataset"])
     kind, path, schema = (synthetic.pop(key) for key in ("kind", "path", "schema"))
     if kind == "synthetic":
@@ -241,8 +247,8 @@ def _cmd_frontier(args) -> int:
                      "dominated": point.dominated, "lambda_star": lambda_star,
                      "divergence": divergence})
     path, fmt = _output(cfg, args)
-    emit(rows, fmt, path,
-         fieldnames=["alpha", "epsilon", "dominated", "lambda_star", "divergence"])
+    write_rows(rows, fmt, path,
+               ["alpha", "epsilon", "dominated", "lambda_star", "divergence"])
     print(f"wrote {len(rows)} frontier rows to {path}")
     return 0
 
@@ -277,13 +283,15 @@ def _cmd_bounds(args) -> int:
             else:
                 print(f"{mechanism}: budget inapplicable ({budget.reason})", file=sys.stderr)
     path, fmt = _output(cfg, args)
-    emit(rows, fmt, path, fieldnames=["mechanism", "f", "alpha_lower", "epsilon_upper",
-                                      "vacuous", "binding_constraint"])
+    write_rows(rows, fmt, path, ["mechanism", "f", "alpha_lower", "epsilon_upper",
+                                 "vacuous", "binding_constraint"])
     print(f"wrote {len(rows)} bound rows to {path}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    from .sweep import emit, half_target_budget, run_gaussian_sweep, saving
+
     cfg = _load_config(args)
     sweep_cfg = _sweep_config(cfg, args, ("random", "selective-gaussian"))
     result = run_gaussian_sweep(**cfg["gaussian"], config=sweep_cfg)
@@ -305,6 +313,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from .data_io import TfidfVectorizer
+    from .mechanisms import ScoringParams, score_features
+
     cfg = _load_config(args)
     source = _load_dataset(cfg)
     rule = cfg["score"]["rule"]
@@ -318,12 +329,14 @@ def _cmd_score(args) -> int:
     scored = score_features(p1_rows, p2_rows, rule, ScoringParams(**cfg["scoring"]))
     rows = [{"index": s.index, "score": s.score, "rule": rule} for s in scored]
     path, fmt = _output(cfg, args)
-    emit(rows, fmt, path, fieldnames=["index", "score", "rule"])
+    write_rows(rows, fmt, path, ["index", "score", "rule"])
     print(f"wrote {len(rows)} scores to {path}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
+    from .sweep import PipelineConfig, emit, half_target_budget, run_dataset_sweep
+
     cfg = _load_config(args)
     sweep_cfg = _sweep_config(cfg, args, ("random", "lr-cos"))
     source = _load_dataset(cfg)

@@ -30,8 +30,6 @@ passes the midpoint between its no-deletion and full-deletion levels.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -62,6 +60,7 @@ from .mechanisms import (
     score_features,
     selective_removal_gaussian,
 )
+from .writer import write_rows
 
 __all__ = [
     "SweepConfig",
@@ -417,16 +416,6 @@ def saving(result: SweepResult, baseline_rule: str, rule: str, metric: str) -> f
 # ---------------------------------------------------------------------------
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def result_rows(result: SweepResult) -> tuple[list[str], list[dict]]:
     """Flatten a sweep result into (fieldnames, row dicts) in emit order."""
     fields = ["rule", "budget_fraction", "seed", "failed", "failure_reason"]
@@ -449,38 +438,10 @@ def result_rows(result: SweepResult) -> tuple[list[str], list[dict]]:
 
 def emit(data, format: str, path, fieldnames: list[str] | None = None) -> None:
     """Write a sweep result, or a sequence of row mappings with its
-    ``fieldnames``, to disk.
-
-    Bit-deterministic: fixed column order and LF line endings.  CSV writes
-    floats at 17 significant digits and quotes only fields holding a comma,
-    a double quote or a newline (every field of a row holding a carriage
-    return).  JSON-lines writes one ``json.dumps`` object
-    per row: floats in their shortest round-trip form, non-finite floats as
-    ``NaN``, ``Infinity`` and ``-Infinity``.  ``format`` is ``csv`` or
-    ``json-lines``.
-    """
+    ``fieldnames``, to disk through :func:`distunlearn.writer.write_rows`,
+    which fixes the bytes."""
     if isinstance(data, SweepResult):
-        fields, rows = result_rows(data)
-    else:
-        if fieldnames is None:
-            raise ValueError("emitting a row sequence requires explicit fieldnames")
-        rows, fields = list(data), list(fieldnames)
-    if format not in ("csv", "json-lines"):
-        raise ValueError(f"unknown format {format!r}; use 'csv' or 'json-lines'")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if format == "csv":
-                writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-                # QUOTE_MINIMAL does not quote a bare carriage return, which
-                # readers take for a line end, so such a row is quoted whole.
-                quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-                writer.writerow(fields)
-                for row in rows:
-                    cells = [_format_value(row.get(name)) for name in fields]
-                    (quoted if any("\r" in c for c in cells) else writer).writerow(cells)
-            else:
-                for row in rows:
-                    record = {name: row.get(name) for name in fields}
-                    fh.write(json.dumps(record, default=np.generic.item) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
+        fieldnames, data = result_rows(data)
+    elif fieldnames is None:
+        raise ValueError("emitting a row sequence requires explicit fieldnames")
+    write_rows(data, format, path, list(fieldnames))

@@ -78,6 +78,16 @@ class TestConfigErrors:
          ["bounds input", "bounds.target_epsilon"]),
         (["bounds", "--set", "bounds.target_epsilon=0.05"],
          ["bounds input", "bounds.target_alpha"]),
+        # a seed range that runs backwards, and negative seeds, by every key
+        # and flag that sets one
+        (["simulate", "--set", "sweep.seeds=3..1"], ["sweep.seeds", "'3..1'"]),
+        (["simulate", "--set", "sweep.seeds=-1"], ["sweep.seeds", "-1"]),
+        (["simulate", "--set", "sweep.master_seed=-2"], ["sweep.master_seed", "-2"]),
+        (["score", "--set", "dataset.kind=synthetic", "--set", "dataset.seed=-1"],
+         ["dataset.seed", "-1"]),
+        (["score", "--set", "dataset.kind=synthetic", "--set", "scoring.seed=-1"],
+         ["scoring.seed", "-1"]),
+        (["simulate", "--seed", "-3"], ["--seed", "-3"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
