@@ -27,9 +27,8 @@ _EXPORTS = {
     "frontier": ("ExpFamilySpec", "TradeoffPoint", "bernoulli_family", "frontier_expfamily",
                  "frontier_gaussian", "gaussian_family"),
     "gaussian": ("GaussianModel", "g_folded", "g_inverse", "kl_gaussian", "pooled_mle"),
-    "mechanisms": ("RemovalPlan", "ScoredSample", "ScoringParams", "apply_plan",
-                   "plan_from_scores", "random_removal", "score_features",
-                   "selective_removal_gaussian"),
+    "mechanisms": ("RemovalPlan", "ScoringParams", "apply_plan", "plan_from_scores",
+                   "random_removal", "score_features", "selective_removal_gaussian"),
     "sweep": ("PipelineConfig", "SweepConfig", "SweepResult", "budget_to_reach", "emit",
               "half_target_budget", "run_dataset_sweep", "run_gaussian_sweep", "saving"),
     "synthetic": ("two_cluster_corpus",),

@@ -13,9 +13,9 @@ Five subcommands, one per kind of output:
 Each subcommand reads an INI-style config file (UTF-8 ``key = value`` lines
 grouped into sections, with the keys that ``KEYS`` declares; values are
 literal, with no ``%`` interpolation) and accepts
-repeated ``--set section.key=value`` overrides plus a few dedicated flags.
-``--seed`` overrides the master seed.  Exit code is 0 on success and 1 when
-any sweep cell failed, unless ``--allow-partial`` is given.
+repeated ``--set section.key=value`` overrides and ``--out``.  The sweeps also
+take ``--seed`` (the master seed) and ``--allow-partial``: without it, a
+sweep with a failed cell exits 1.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ KEYS = {
                  "p1_label": (int, 1)},
     "train": {"l2_strength": (float, 1e-3), "max_iter": (int, 500), "tol": (float, 1e-6)},
     "scoring": {"k": (int, 10), "sigma": (float, None), "ridge_scale": (float, 1e-6),
-                "seed": (_parse_seed, 0), "bandwidth_cap": (int, 2048)},
+                "bandwidth_cap": (int, 2048)},
     "score": {"rule": (str, "cos-mu2")},
     "frontier": {"family": (_one_of("gaussian", "bernoulli"), "gaussian"),
                  "divergence": (float, None), "mu1": (float, 0.0), "mu2": (float, 2.0),
@@ -189,6 +189,20 @@ def _tfidf_config(cfg):
 
     with _config_errors("[tfidf] config"):
         return TfidfConfig(**cfg["tfidf"])
+
+
+def _print_half_targets(result, rules, metric: str) -> None:
+    """One line per rule: the budget at which ``metric`` halves, if any."""
+    from .sweep import half_target_budget
+
+    initial = {rule for rule, budget in result.aggregate(metric) if budget == 0.0}
+    for rule in rules:
+        if rule not in initial:  # every budget-0 cell of the rule failed
+            text = "undefined (no budget-0 cell)"
+        else:
+            half = half_target_budget(result, rule, metric)
+            text = "not reached" if half is None else f"{half:.4f}"
+        print(f"half-target budget [{rule}]: {text}")
 
 
 def _output(cfg, args):
@@ -290,7 +304,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .sweep import emit, half_target_budget, run_gaussian_sweep, saving
+    from .sweep import emit, run_gaussian_sweep, saving
 
     cfg = _load_config(args)
     sweep_cfg = _sweep_config(cfg, args, ("random", "selective-gaussian"))
@@ -299,16 +313,11 @@ def _cmd_simulate(args) -> int:
     emit(result, fmt, path)
     print(f"wrote {len(result.rows)} cells to {path}")
     if 1.0 in sweep_cfg.budget_fractions and 0.0 in sweep_cfg.budget_fractions:
-        for rule in sweep_cfg.rules:
-            half = half_target_budget(result, rule, "alpha_remaining")
-            print(f"half-target budget [{rule}]: "
-                  f"{'not reached' if half is None else f'{half:.4f}'}")
-        if len(sweep_cfg.rules) >= 2:
-            base = sweep_cfg.rules[0]
-            for rule in sweep_cfg.rules[1:]:
-                s = saving(result, base, rule, "alpha_remaining")
-                print(f"saving [{rule} vs {base}]: "
-                      f"{'undefined' if s is None else f'{s:.4f}'}")
+        _print_half_targets(result, sweep_cfg.rules, "alpha_remaining")
+        base = sweep_cfg.rules[0]
+        for rule in sweep_cfg.rules[1:]:
+            s = saving(result, base, rule, "alpha_remaining")
+            print(f"saving [{rule} vs {base}]: {'undefined' if s is None else f'{s:.4f}'}")
     return 1 if result.n_failed() and not args.allow_partial else 0
 
 
@@ -327,7 +336,7 @@ def _cmd_score(args) -> int:
         p1_rows = source.features[source.p1_positions()]
         p2_rows = source.features[source.p2_positions()]
     scored = score_features(p1_rows, p2_rows, rule, ScoringParams(**cfg["scoring"]))
-    rows = [{"index": s.index, "score": s.score, "rule": rule} for s in scored]
+    rows = [{"index": i, "score": s, "rule": rule} for i, s in enumerate(scored.score.tolist())]
     path, fmt = _output(cfg, args)
     write_rows(rows, fmt, path, ["index", "score", "rule"])
     print(f"wrote {len(rows)} scores to {path}")
@@ -335,22 +344,20 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .sweep import PipelineConfig, emit, half_target_budget, run_dataset_sweep
+    from .sweep import PipelineConfig, emit, run_dataset_sweep
 
     cfg = _load_config(args)
     sweep_cfg = _sweep_config(cfg, args, ("random", "lr-cos"))
+    with _config_errors("[pipeline]/[train] config"):
+        pipeline = PipelineConfig(tfidf=_tfidf_config(cfg), **cfg["pipeline"], **cfg["train"])
     source = _load_dataset(cfg)
-    pipeline = PipelineConfig(tfidf=_tfidf_config(cfg), **cfg["pipeline"], **cfg["train"])
     result = run_dataset_sweep(source, pipeline, sweep_cfg)
     path, fmt = _output(cfg, args)
     emit(result, fmt, path)
     failed = result.n_failed()
     print(f"wrote {len(result.rows)} cells to {path} ({failed} failed)")
     if 0.0 in sweep_cfg.budget_fractions:
-        for rule in sweep_cfg.rules:
-            half = half_target_budget(result, rule, "recall_p1")
-            print(f"half-target budget [{rule}]: "
-                  f"{'not reached' if half is None else f'{half:.4f}'}")
+        _print_half_targets(result, sweep_cfg.rules, "recall_p1")
     return 1 if failed and not args.allow_partial else 0
 
 
@@ -371,10 +378,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable)")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", help="output path override")
-        p.add_argument("--allow-partial", action="store_true",
-                       help="exit 0 even if some sweep cells failed")
+        if name in ("simulate", "experiment"):
+            p.add_argument("--seed", type=int, default=None, help="master seed override")
+            p.add_argument("--allow-partial", action="store_true",
+                           help="exit 0 even if some sweep cells failed")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -18,7 +18,10 @@ Rules
                    the preserve covariance)
 - ``knn-ratio``  : local kernel density ratio using k-th nearest neighbor
                    distances, exp((d2^2 - d1^2) / sigma^2)
-- ``random``     : seeded uniform scores (baseline)
+
+``score_features`` returns one record array with a ``score`` and a
+``zero_norm`` flag per forget row.  The ``random`` baseline is not a rule
+here but a deletion order: one seeded permutation (``random_removal``).
 
 Ties between equal scores always break toward the lower row index, so plans
 are reproducible and top-f selections are nested in f.
@@ -37,9 +40,9 @@ from .data_io import LabeledDataset
 
 __all__ = [
     "RemovalPlan",
-    "ScoredSample",
     "ScoringParams",
     "FEATURE_RULES",
+    "SCORE_DTYPE",
     "random_removal",
     "selective_removal_gaussian",
     "score_features",
@@ -47,7 +50,10 @@ __all__ = [
     "apply_plan",
 ]
 
-FEATURE_RULES = ("norm", "cos-mu2", "lr-cos", "knn-ratio", "maha-mu2", "lr-maha", "random")
+FEATURE_RULES = ("norm", "cos-mu2", "lr-cos", "knn-ratio", "maha-mu2", "lr-maha")
+
+# One record per forget row, in row order.
+SCORE_DTYPE = np.dtype([("score", np.float64), ("zero_norm", np.bool_)], align=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +89,6 @@ class RemovalPlan:
 
 
 @dataclass(frozen=True)
-class ScoredSample:
-    index: int
-    score: float
-    flag: str | None = None
-
-
-@dataclass(frozen=True)
 class ScoringParams:
     """Knobs for the feature scoring rules.
 
@@ -98,13 +97,11 @@ class ScoringParams:
     (subsampled by a deterministic stride above ``bandwidth_cap`` rows,
     which must then be at least 2).
     ``ridge_scale`` multiplies trace(Sigma)/d for the Mahalanobis ridge.
-    ``seed`` feeds the ``random`` rule only.
     """
 
     k: int = 10
     sigma: float | None = None
     ridge_scale: float = 1e-6
-    seed: int = 0
     bandwidth_cap: int = 2048
 
 
@@ -157,21 +154,15 @@ def _priority_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def plan_from_scores(scored: list[ScoredSample], rule: str, f: int) -> RemovalPlan:
-    """Top-f plan from a scored sample sequence (score desc, index asc).
+def plan_from_scores(scored: np.recarray, rule: str, f: int) -> RemovalPlan:
+    """Top-f plan from ``score_features`` records (score desc, row asc).
 
     The plan for budget f is the first f entries of the plan for any larger
     budget, so a sweep can rank once and slice.
     """
     if not 0 <= f <= len(scored):
         raise ValueError(f"budget f={f} must satisfy 0 <= f <= {len(scored)}")
-    scores = np.array([s.score for s in scored], dtype=float)
-    indices = np.array([s.index for s in scored], dtype=np.int64)
-    # Rank in index order so that the stable sort breaks ties by index even
-    # when ``scored`` is not listed by index.
-    by_index = np.argsort(indices, kind="stable")
-    order = by_index[_priority_order(scores[by_index])]
-    return RemovalPlan(rule=rule, removed_indices=indices[order[:f]])
+    return RemovalPlan(rule=rule, removed_indices=_priority_order(scored.score)[:f])
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +296,15 @@ def _mahalanobis_solver(features_p2, ridge_scale: float):
 
 
 def score_features(features_p1, features_p2, rule: str,
-                   params: ScoringParams | None = None) -> list[ScoredSample]:
+                   params: ScoringParams | None = None) -> np.recarray:
     """Score every forget-partition row for deletion priority.
 
-    Returns one ``ScoredSample`` per row of ``features_p1``; higher score
-    means delete earlier.  The preserve-side statistics (mean, covariance,
-    neighbor pool) always come from the full ``features_p2`` given here --
-    downsampling for classifier training happens after scoring.
+    Returns a ``SCORE_DTYPE`` record array whose record i is row i of
+    ``features_p1``: its ``score`` (higher means delete earlier) and whether
+    a cosine rule scored it 0 as ``zero_norm``.  The preserve-side statistics
+    (mean, covariance, neighbor pool) always come from the full
+    ``features_p2`` given here -- downsampling for classifier training
+    happens after scoring.
     """
     params = params or ScoringParams()
     if rule not in FEATURE_RULES:
@@ -321,37 +314,30 @@ def score_features(features_p1, features_p2, rule: str,
     if n1 == 0:
         raise ValueError("features_p1 has no rows")
 
-    needs_p2 = rule in ("cos-mu2", "lr-cos", "knn-ratio", "maha-mu2", "lr-maha")
-    x2 = None
-    if needs_p2:
+    if rule != "norm":  # every other rule reads the preserve partition
         x2 = _row_matrix(features_p2)
         if x2.shape[0] == 0:
             raise ValueError(f"rule {rule!r} needs a non-empty preserve partition")
         if x2.shape[1] != x1.shape[1]:
             raise ValueError("feature dimension mismatch between partitions")
 
-    flags: np.ndarray | None = None
+    flags = np.zeros(n1, dtype=bool)
     if rule == "norm":
         scores = _row_norms(x1)
-    elif rule == "random":
-        gen = rnglib.generator(params.seed, "random-scores")
-        scores = gen.random(n1)
     elif rule == "cos-mu2":
-        scores, zero = _cosine_distance_to(x1, _mean_vector(x2))
-        flags = zero
+        scores, flags = _cosine_distance_to(x1, _mean_vector(x2))
     elif rule == "lr-cos":
         d2, zero2 = _cosine_distance_to(x1, _mean_vector(x2))
         d1, zero1 = _cosine_distance_to(x1, _mean_vector(x1))
         scores = d2 - d1
         flags = zero1 | zero2
         scores[flags] = 0.0
-    elif rule == "maha-mu2":
+    elif rule in ("maha-mu2", "lr-maha"):
         dist = _mahalanobis_solver(x2, params.ridge_scale)
         scores = dist(x1, _mean_vector(x2))
-    elif rule == "lr-maha":
-        dist = _mahalanobis_solver(x2, params.ridge_scale)
-        scores = dist(x1, _mean_vector(x2)) - dist(x1, _mean_vector(x1))
-    elif rule == "knn-ratio":
+        if rule == "lr-maha":
+            scores = scores - dist(x1, _mean_vector(x1))
+    else:  # knn-ratio
         k = int(params.k)
         if not 1 <= k <= min(n1 - 1, x2.shape[0]):
             raise ValueError(
@@ -373,21 +359,15 @@ def score_features(features_p1, features_p2, rule: str,
         d1k = _kth_nearest(x1, x1, k, exclude_self=True)
         d2k = _kth_nearest(x1, x2, k)
         scores = np.exp((d2k - d1k) / sigma**2)
-    else:  # pragma: no cover
-        raise AssertionError(rule)
 
     if not np.all(np.isfinite(scores)):
         raise ValueError(f"rule {rule!r} produced non-finite scores")
-    if flags is not None and flags.any():
+    if flags.any():
         warnings.warn(
             f"{int(flags.sum())} zero-norm row(s) under cosine rule {rule!r} scored 0",
             stacklevel=2,
         )
-    out = []
-    for i in range(n1):
-        flag = "zero_norm" if flags is not None and flags[i] else None
-        out.append(ScoredSample(index=i, score=float(scores[i]), flag=flag))
-    return out
+    return np.rec.fromarrays([scores, flags], dtype=SCORE_DTYPE)
 
 
 def apply_plan(dataset: LabeledDataset, plan: RemovalPlan) -> LabeledDataset:

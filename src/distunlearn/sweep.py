@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 GAUSSIAN_RULES = ("random", "selective-gaussian")
+DATASET_RULES = ("random",) + FEATURE_RULES
 
 
 def derive_seed(master_seed: int, *labels) -> int:
@@ -128,6 +129,15 @@ class PipelineConfig:
     max_iter: int = 500
     tol: float = 1e-6
     p1_label: int = 1
+
+    def __post_init__(self):
+        for name, ok, need in (("train_fraction", 0 < self.train_fraction < 1, "lie in (0, 1)"),
+                               ("downsample_ratio", self.downsample_ratio > 0, "be > 0"),
+                               ("l2_strength", self.l2_strength >= 0, "be >= 0"),
+                               ("max_iter", self.max_iter >= 1, "be >= 1"),
+                               ("tol", self.tol > 0, "be > 0")):
+            if not ok:
+                raise ValueError(f"{name} must {need}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -292,8 +302,8 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
     budgets) is recorded with its reason, never silently dropped.
     """
     for rule in config.rules:
-        if rule not in FEATURE_RULES:
-            raise ValueError(f"dataset sweep supports rules {FEATURE_RULES}, got {rule!r}")
+        if rule not in DATASET_RULES:
+            raise ValueError(f"dataset sweep supports rules {DATASET_RULES}, got {rule!r}")
 
     vec = TfidfVectorizer(pipeline.tfidf)
     rows = []

@@ -85,9 +85,22 @@ class TestConfigErrors:
         (["simulate", "--set", "sweep.master_seed=-2"], ["sweep.master_seed", "-2"]),
         (["score", "--set", "dataset.kind=synthetic", "--set", "dataset.seed=-1"],
          ["dataset.seed", "-1"]),
-        (["score", "--set", "dataset.kind=synthetic", "--set", "scoring.seed=-1"],
-         ["scoring.seed", "-1"]),
         (["simulate", "--seed", "-3"], ["--seed", "-3"]),
+        # random is a deletion order of the sweeps, not a scoring rule, and
+        # has no scoring seed
+        (["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=random"],
+         ["score input", "'random'", "'norm'", "'lr-cos'"]),
+        (["score", "--set", "dataset.kind=synthetic", "--set", "scoring.seed=0"],
+         ["scoring.seed", "bandwidth_cap"]),
+        # pipeline and training settings outside their range, rejected
+        # before the dataset is read
+        (["experiment", "--set", "dataset.kind=synthetic",
+          "--set", "pipeline.downsample_ratio=0"], ["downsample_ratio", "0.0"]),
+        (["experiment", "--set", "pipeline.train_fraction=1"], ["train_fraction", "1.0"]),
+        (["experiment", "--set", "pipeline.train_fraction=0"], ["train_fraction", "0.0"]),
+        (["experiment", "--set", "train.l2_strength=-1"], ["l2_strength", "-1.0"]),
+        (["experiment", "--set", "train.max_iter=0"], ["max_iter", "0"]),
+        (["experiment", "--set", "train.tol=-1"], ["tol", "-1.0"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
@@ -113,6 +126,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             run([arg.format(out=out) for arg in argv])
         assert str(info.value) == message
+        assert not out.exists()
+
+
+class TestSweepOnlyFlags:
+    @pytest.mark.parametrize("argv", [["bounds", "--seed", "3"],
+                                      ["frontier", "--allow-partial"],
+                                      ["score", "--seed", "3"]])
+    def test_other_commands_reject_them(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            run(argv + ["--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -344,6 +370,20 @@ class TestExperimentCommand:
         assert run(args) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 5  # header + 2 rules x 2 budgets x 1 seed
+
+    def test_rule_without_budget_zero_cell_is_reported(self, tmp_path, capsys):
+        # knn-ratio cannot score with k above the row count, so every cell
+        # of that rule fails, its budget-0 cell too
+        out = tmp_path / "exp.csv"
+        args = self.COMMON + ["--set", "sweep.rules=random,knn-ratio",
+                              "--set", "scoring.k=100000",
+                              "--set", "sweep.budgets=0,0.5", "--out", str(out)]
+        assert run(args + ["--allow-partial"]) == 0
+        printed = capsys.readouterr().out
+        assert "(2 failed)" in printed
+        assert "half-target budget [knn-ratio]: undefined (no budget-0 cell)" in printed
+        assert len(out.read_text().splitlines()) == 5
+        assert run(args) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
