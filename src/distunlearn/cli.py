@@ -110,8 +110,7 @@ KEYS = {
                 "bandwidth_cap": (int, 2048)},
     "score": {"rule": (str, "cos-mu2")},
     "frontier": {"family": (_one_of("gaussian", "bernoulli"), "gaussian"),
-                 "divergence": (float, None), "mu1": (float, 0.0), "mu2": (float, 2.0),
-                 "sigma2": (float, 1.0), "q1": (float, 0.3), "q2": (float, 0.7),
+                 "divergence": (float, 2.0), "q1": (float, 0.3), "q2": (float, 0.7),
                  "alphas": (_parse_floats, None)},
     "bounds": {"n1": (int, 1000), "n2": (int, 1000), "delta": (float, 0.1),
                "divergence": (float, 0.125), "f": (_parse_floats, None),
@@ -236,14 +235,7 @@ def _cmd_frontier(args) -> int:
     cfg = _load_config(args)
     frontier = cfg["frontier"]
     if frontier["family"] == "gaussian":
-        family = None
-        divergence = frontier["divergence"]
-        if divergence is None:
-            if not frontier["sigma2"] > 0.0:
-                raise SystemExit(f"invalid frontier.sigma2: the variance must be > 0, "
-                                 f"got {frontier['sigma2']}")
-            divergence = ((frontier["mu2"] - frontier["mu1"]) ** 2
-                          / (2.0 * frontier["sigma2"]))
+        family, divergence = None, frontier["divergence"]
         multiples = (0.5, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
     else:
         with _config_errors("[frontier] family"):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data_io import LabeledDataset
+from .data_io import P1, P2, LabeledDataset
 
 __all__ = [
     "FiniteJoint",
@@ -432,8 +432,8 @@ def evaluate(model: ClassifierModel, test: LabeledDataset,
     proba = predict_proba(model, test.features)
     preds = model.classes[np.argmax(proba, axis=1)]
 
-    p1_mask = test.group == "P1"
-    p2_mask = test.group == "P2"
+    p1_mask = test.group == P1
+    p2_mask = test.group == P2
 
     recall_p1 = None
     pos_mask = p1_mask & (test.labels == positive_label)

@@ -66,7 +66,6 @@ __all__ = [
     "SweepConfig",
     "PipelineConfig",
     "CellResult",
-    "CellAggregate",
     "SweepResult",
     "run_gaussian_sweep",
     "run_dataset_sweep",
@@ -111,11 +110,12 @@ class SweepConfig:
             raise ValueError("budget fractions must lie in [0, 1]")
         if list(budgets) != sorted(budgets):
             raise ValueError("budget fractions must be sorted ascending")
-        if len(set(budgets)) != len(budgets):
-            raise ValueError("budget fractions must be distinct")
+        for name, values in (("rules", rules), ("budget fractions", budgets), ("seeds", seeds)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {', '.join(map(str, values))}")
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "budget_fractions", budgets)
-        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "seeds", tuple(sorted(seeds)))
 
 
 @dataclass(frozen=True)
@@ -142,25 +142,22 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One (rule, budget, seed) cell: its metrics, or why it failed."""
+
     rule: str
     budget_fraction: float
     seed: int
     metrics: dict[str, float]
-    failed: bool = False
     failure_reason: str | None = None
 
-
-@dataclass(frozen=True)
-class CellAggregate:
-    mean: float
-    stderr: float
-    n_seeds: int
-    n_failed: int
+    @property
+    def failed(self) -> bool:
+        return self.failure_reason is not None
 
 
 @dataclass
 class SweepResult:
-    """All cells of one sweep plus per-(rule, budget) aggregation."""
+    """All cells of one sweep plus per-(rule, budget) seed means."""
 
     rows: list[CellResult]
     metric_names: tuple[str, ...]
@@ -174,32 +171,17 @@ class SweepResult:
     def n_failed(self) -> int:
         return sum(row.failed for row in self.rows)
 
-    def aggregate(self, metric: str) -> dict[tuple[str, float], CellAggregate]:
-        """Seed mean and standard error per (rule, budget); failed cells are
-        excluded from the statistics and counted."""
+    def aggregate(self, metric: str) -> dict[tuple[str, float], float]:
+        """Seed mean of ``metric`` per (rule, budget), in row order, over the
+        cells that did not fail and hold a value (None and NaN hold none);
+        a (rule, budget) with no value is absent."""
         groups: dict[tuple[str, float], list[float]] = {}
-        failed: dict[tuple[str, float], int] = {}
         for row in self.rows:
-            key = (row.rule, row.budget_fraction)
-            failed.setdefault(key, 0)
-            groups.setdefault(key, [])
-            if row.failed or metric not in row.metrics:
-                failed[key] += 1
+            value = row.metrics.get(metric)
+            if row.failed or value is None or math.isnan(value):
                 continue
-            value = row.metrics[metric]
-            if value is None or (isinstance(value, float) and math.isnan(value)):
-                failed[key] += 1
-                continue
-            groups[key].append(float(value))
-        out = {}
-        for key, values in groups.items():
-            if not values:
-                continue
-            arr = np.asarray(values)
-            stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-            out[key] = CellAggregate(mean=float(arr.mean()), stderr=stderr,
-                                     n_seeds=arr.size, n_failed=failed[key])
-        return out
+            groups.setdefault((row.rule, row.budget_fraction), []).append(float(value))
+        return {key: float(np.mean(values)) for key, values in groups.items()}
 
 
 def _random_ranking(config: SweepConfig, n1: int, seed: int) -> RemovalPlan:
@@ -246,7 +228,7 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
 
     has_full = config.budget_fractions[-1] == 1.0  # budgets ascend
     rows = []
-    for seed in sorted(set(config.seeds)):
+    for seed in config.seeds:
         gen = rnglib.generator(config.master_seed, "samples", seed)
         x1 = gen.normal(0.0, 1.0, n1)
         x2 = gen.normal(mu2, 1.0, n2)
@@ -307,7 +289,7 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
 
     vec = TfidfVectorizer(pipeline.tfidf)
     rows = []
-    for seed in sorted(set(config.seeds)):
+    for seed in config.seeds:
         split_seed = derive_seed(config.master_seed, "split", seed)
         if isinstance(source, TextCorpus):
             train, val = _prepare_seed_text(source, pipeline, split_seed, vec)
@@ -326,8 +308,7 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
                     ranked = plan_from_scores(scored, rule, n1_train).removed_indices
             except ValueError as exc:
                 rows += [CellResult(rule=rule, budget_fraction=budget, seed=seed,
-                                    metrics={}, failed=True,
-                                    failure_reason=f"scoring failed: {exc}")
+                                    metrics={}, failure_reason=f"scoring failed: {exc}")
                          for budget in config.budget_fractions]
                 continue
             model = None  # the chain's last fit, which warm-starts the next
@@ -355,8 +336,7 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
                                            seed=seed, metrics=metrics))
                 except ValueError as exc:
                     rows.append(CellResult(rule=rule, budget_fraction=budget, seed=seed,
-                                           metrics={}, failed=True,
-                                           failure_reason=str(exc)))
+                                           metrics={}, failure_reason=str(exc)))
     names = sorted({name for row in rows for name in row.metrics})
     return SweepResult(rows=rows, metric_names=tuple(names))
 
@@ -383,7 +363,7 @@ def budget_to_reach(result: SweepResult, rule: str, metric: str, target: float,
     sign = 1.0 if direction == "down" else -1.0
     previous: tuple[float, float] | None = None
     for b in budgets:
-        mean = agg[(rule, b)].mean
+        mean = agg[(rule, b)]
         if sign * (mean - target) <= 0.0:
             if previous is None:
                 return b
@@ -403,7 +383,7 @@ def half_target_budget(result: SweepResult, rule: str, metric: str) -> float | N
         raise ValueError(
             f"missing budget-0 cell for rule {rule!r}: the initial value is undefined"
         )
-    initial = agg[(rule, 0.0)].mean
+    initial = agg[(rule, 0.0)]
     return budget_to_reach(result, rule, metric, 0.5 * initial, direction="down")
 
 
@@ -426,32 +406,13 @@ def saving(result: SweepResult, baseline_rule: str, rule: str, metric: str) -> f
 # ---------------------------------------------------------------------------
 
 
-def result_rows(result: SweepResult) -> tuple[list[str], list[dict]]:
-    """Flatten a sweep result into (fieldnames, row dicts) in emit order."""
+def emit(result: SweepResult, format: str, path) -> None:
+    """Write a sweep result to disk, one row per cell ordered by (rule,
+    budget, seed), through :func:`distunlearn.writer.write_rows`, which
+    fixes the bytes."""
     fields = ["rule", "budget_fraction", "seed", "failed", "failure_reason"]
-    fields += list(result.metric_names)
-    rows = []
-    ordered = sorted(result.rows, key=lambda r: (r.rule, r.budget_fraction, r.seed))
-    for row in ordered:
-        rec = {
-            "rule": row.rule,
-            "budget_fraction": row.budget_fraction,
-            "seed": row.seed,
-            "failed": row.failed,
-            "failure_reason": row.failure_reason,
-        }
-        for name in result.metric_names:
-            rec[name] = row.metrics.get(name)
-        rows.append(rec)
-    return fields, rows
-
-
-def emit(data, format: str, path, fieldnames: list[str] | None = None) -> None:
-    """Write a sweep result, or a sequence of row mappings with its
-    ``fieldnames``, to disk through :func:`distunlearn.writer.write_rows`,
-    which fixes the bytes."""
-    if isinstance(data, SweepResult):
-        fieldnames, data = result_rows(data)
-    elif fieldnames is None:
-        raise ValueError("emitting a row sequence requires explicit fieldnames")
-    write_rows(data, format, path, list(fieldnames))
+    fields += result.metric_names
+    rows = [{"rule": row.rule, "budget_fraction": row.budget_fraction, "seed": row.seed,
+             "failed": row.failed, "failure_reason": row.failure_reason, **row.metrics}
+            for row in sorted(result.rows, key=lambda r: (r.rule, r.budget_fraction, r.seed))]
+    write_rows(rows, format, path, fields)

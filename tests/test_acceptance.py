@@ -393,13 +393,13 @@ def _sms_assertions(corpus):
     )
     result = run_dataset_sweep(corpus, pipeline, config)
     agg = result.aggregate("recall_p1")
-    lr_cos_low = min(agg[("lr-cos", b)].mean for b in (0.70, 0.75))
-    random_early = min(agg[("random", b)].mean
+    lr_cos_low = min(agg[("lr-cos", b)] for b in (0.70, 0.75))
+    random_early = min(agg[("random", b)]
                        for b in FULL_GRID if 0.0 < b < 0.85)
     f1 = result.aggregate("macro_f1_p2")
     below_full = [b for b in FULL_GRID if b < 1.0 and ("random", b) in f1]
-    f1_spread = (max(f1[(r, b)].mean for r in config.rules for b in below_full)
-                 - min(f1[(r, b)].mean for r in config.rules for b in below_full))
+    f1_spread = (max(f1[(r, b)] for r in config.rules for b in below_full)
+                 - min(f1[(r, b)] for r in config.rules for b in below_full))
     ok = lr_cos_low <= 0.65 and random_early > 0.65 and f1_spread < 0.01
     detail = (f"lr-cos recall at 70-75% budget {lr_cos_low:.3f} (<= 0.65), random "
               f"min below 85% {random_early:.3f} (> 0.65), macro-F1 spread "

@@ -57,9 +57,13 @@ class TestConfigErrors:
         (["score", "--set", "dataset.kind=tsv"], ["dataset.path"]),
         (["score", "--set", "dataset.kind=csv", "--set", "dataset.path=x.csv"],
          ["dataset.schema"]),
-        # a Gaussian frontier from mu1, mu2 and a variance that is not positive
-        (["frontier", "--set", "frontier.sigma2=0"], ["frontier.sigma2", "0.0"]),
-        (["frontier", "--set", "frontier.sigma2=-1"], ["frontier.sigma2", "-1.0"]),
+        # the Gaussian frontier takes its divergence alone, not mu1, mu2, sigma2
+        (["frontier", "--set", "frontier.sigma2=1"], ["frontier.sigma2", "divergence"]),
+        # repeated rules or seeds, which would write a cell twice or run it once
+        (["simulate", "--set", "sweep.rules=random,random"],
+         ["[sweep] config", "rules must be distinct", "random, random"]),
+        (["simulate", "--set", "sweep.seeds=0,0,1"],
+         ["[sweep] config", "seeds must be distinct", "0, 0, 1"]),
         # a rule name that is not one of the known rules, in either command
         (["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=tfidf-norm"],
          ["score input", "'tfidf-norm'", "'norm'", "'lr-cos'"]),

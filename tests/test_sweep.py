@@ -24,6 +24,7 @@ from distunlearn.sweep import (
     saving,
 )
 from distunlearn.synthetic import two_cluster_corpus
+from distunlearn.writer import write_rows
 
 
 def small_gaussian_config(**kw):
@@ -57,6 +58,16 @@ class TestSweepConfig:
             SweepConfig(rules=(), budget_fractions=(0.0,), seeds=(0,))
         with pytest.raises(ValueError):
             SweepConfig(rules=("random",), budget_fractions=(0.0,), seeds=())
+
+    def test_rejects_repeated_rules_seeds_and_budgets(self):
+        for kw, name in ((dict(rules=("random", "random")), "rules"),
+                         (dict(seeds=(0, 0, 1)), "seeds"),
+                         (dict(budget_fractions=(0.0, 0.5, 0.5)), "budget fractions")):
+            with pytest.raises(ValueError, match=f"{name} must be distinct"):
+                small_gaussian_config(**kw)
+
+    def test_stores_seeds_sorted(self):
+        assert small_gaussian_config(seeds=(3, 1, 2)).seeds == (1, 2, 3)
 
 
 class TestRunGaussianSweep:
@@ -404,14 +415,28 @@ class TestBudgetAnalysis:
         rows = [
             CellResult(rule="r", budget_fraction=0.0, seed=0, metrics={"m": 1.0}),
             CellResult(rule="r", budget_fraction=0.0, seed=1, metrics={},
-                       failed=True, failure_reason="boom"),
+                       failure_reason="boom"),
         ]
         result = SweepResult(rows=rows, metric_names=("m",))
+        assert result.rows[1].failed and not result.rows[0].failed
         agg = result.aggregate("m")
-        cell = agg[("r", 0.0)]
-        assert cell.mean == 1.0
-        assert cell.n_seeds == 1
-        assert cell.n_failed == 1
+        assert agg == {("r", 0.0): 1.0}
+        assert type(agg[("r", 0.0)]) is float
+
+    def test_aggregate_skips_none_and_nan_values(self):
+        # recall_p1 is None when a validation slice has no positive row.
+        rows = [
+            CellResult(rule="r", budget_fraction=0.0, seed=0, metrics={"m": 0.25}),
+            CellResult(rule="r", budget_fraction=0.0, seed=1, metrics={"m": None}),
+            CellResult(rule="r", budget_fraction=0.0, seed=2, metrics={"m": float("nan")}),
+            CellResult(rule="r", budget_fraction=0.0, seed=3, metrics={"m": 0.75}),
+            CellResult(rule="r", budget_fraction=0.5, seed=0, metrics={"m": None}),
+            CellResult(rule="r", budget_fraction=0.5, seed=1, metrics={"m": np.nan}),
+            CellResult(rule="r", budget_fraction=1.0, seed=0, metrics={}),
+        ]
+        result = SweepResult(rows=rows, metric_names=("m",))
+        assert result.n_failed() == 0
+        assert result.aggregate("m") == {("r", 0.0): 0.5}
 
 
 class TestEmit:
@@ -431,7 +456,7 @@ class TestEmit:
         reason = 'k=11 out of range: need 1 <= k <= min(|p1|-1, |p2|) = 10\nsee "k"'
         result = SweepResult(
             rows=[CellResult(rule="knn-ratio", budget_fraction=0.5, seed=0, metrics={},
-                             failed=True, failure_reason=reason),
+                             failure_reason=reason),
                   CellResult(rule="random", budget_fraction=0.5, seed=0, metrics={"m": 0.25})],
             metric_names=("m",))
         path = tmp_path / "out.csv"
@@ -454,15 +479,15 @@ class TestEmit:
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit([], "csv", path, fieldnames=["x", "y"])
+        write_rows([], "csv", path, ["x", "y"])
         assert path.read_text() == "x,y\n"
 
     def test_json_lines(self, tmp_path):
         import json
 
         path = tmp_path / "out.jsonl"
-        emit([{"a": 1.5, "b": "text", "c": None, "d": True}], "json-lines", path,
-             fieldnames=["a", "b", "c", "d"])
+        write_rows([{"a": 1.5, "b": "text", "c": None, "d": True}], "json-lines", path,
+                   ["a", "b", "c", "d"])
         record = json.loads(path.read_text().splitlines()[0])
         assert record == {"a": 1.5, "b": "text", "c": None, "d": True}
 
@@ -478,9 +503,8 @@ class TestEmit:
         fields = [f"c{i}" for i in range(len(values))]
         expected = [v.item() if isinstance(v, np.generic) else v for v in values]
         directory = tmp_path_factory.mktemp("emit")
-        emit([dict(zip(fields, values))], "json-lines", directory / "out.jsonl",
-             fieldnames=fields)
-        emit([dict(zip(fields, values))], "csv", directory / "out.csv", fieldnames=fields)
+        write_rows([dict(zip(fields, values))], "json-lines", directory / "out.jsonl", fields)
+        write_rows([dict(zip(fields, values))], "csv", directory / "out.csv", fields)
         lines = (directory / "out.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
@@ -503,16 +527,10 @@ class TestEmit:
     def test_seventeen_digit_floats(self, tmp_path):
         value = 0.1234567890123456789
         path = tmp_path / "out.csv"
-        emit([{"x": value}], "csv", path, fieldnames=["x"])
+        write_rows([{"x": value}], "csv", path, ["x"])
         parsed = float(path.read_text().splitlines()[1])
         assert parsed == value
 
-    def test_rows_without_fieldnames_rejected(self, tmp_path):
-        for rows in ([{"x": 1}], []):
-            with pytest.raises(ValueError, match="requires explicit fieldnames"):
-                emit(rows, "csv", tmp_path / "o.csv")
-        assert not (tmp_path / "o.csv").exists()
-
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
-            emit([{"x": 1}], "parquet", tmp_path / "o", fieldnames=["x"])
+            write_rows([{"x": 1}], "parquet", tmp_path / "o", ["x"])
