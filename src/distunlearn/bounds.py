@@ -183,9 +183,14 @@ def _ceil_clamp(components: dict[str, float], n1: int) -> tuple[int, str]:
     return f, binding
 
 
-def _finalize_budget(components: dict[str, float], n1: int, evaluate, exact: str,
-                     target_alpha: float, target_epsilon: float) -> BudgetResult:
+def _finalize_budget(components: dict[str, float], reasons: list[str], n1: int, evaluate,
+                     exact: str, target_alpha: float, target_epsilon: float) -> BudgetResult:
+    """The components' clamped ceiling, raised until ``evaluate`` meets both
+    targets; inapplicable when ``reasons`` lists a failed closed-form condition."""
     f, binding = _ceil_clamp(components, n1)
+    if reasons:
+        return BudgetResult(f=f, applicable=False, binding="inapplicable",
+                            components=components, reason="; ".join(reasons))
     consistent = _consistency_floor(evaluate, n1, f, target_alpha, target_epsilon)
     if consistent is None:
         return BudgetResult(f=f, applicable=False, binding="inapplicable", components=components,
@@ -217,7 +222,6 @@ def budget_random(n1: int, n2: int, delta: float, divergence_D: float,
         )
     if divergence_D < 8.0 * target_alpha:
         reasons.append(f"D={divergence_D} < 8 alpha = {8.0 * target_alpha}")
-    components = {}
     if divergence_D > 0:
         components = {
             "removal": n1 - n2 * math.sqrt(max(0.0, 2.0 * divergence_D - target_alpha)
@@ -225,12 +229,10 @@ def budget_random(n1: int, n2: int, delta: float, divergence_D: float,
             "preservation": n1 - n2 * min(1.0, math.sqrt(target_epsilon
                                                          / (6.0 * divergence_D))),
         }
-    if reasons:
-        f = _ceil_clamp(components, n1)[0] if components else -1
-        return BudgetResult(f=f, applicable=False, binding="inapplicable",
-                            components=components, reason="; ".join(reasons))
+    else:  # both closed forms are 0/0 at D = 0; these are their limits as D -> 0+
+        components = {"removal": float(n1), "preservation": float(n1 - n2)}
     evaluate = lambda f: bound_random(n1, n2, f, delta, divergence_D)
-    return _finalize_budget(components, n1, evaluate, "bound_random",
+    return _finalize_budget(components, reasons, n1, evaluate, "bound_random",
                             target_alpha, target_epsilon)
 
 
@@ -273,10 +275,6 @@ def budget_selective(n1: int, n2: int, delta: float, divergence_D: float,
         "floor": n1 * (1.5 + math.sqrt(big_l / (2.0 * n1))
                        - norm_cdf(2.0 * math.sqrt(2.0 * divergence_D))),
     }
-    if reasons:
-        return BudgetResult(f=_ceil_clamp(components, n1)[0], applicable=False,
-                            binding="inapplicable", components=components,
-                            reason="; ".join(reasons))
     evaluate = lambda f: bound_selective(n1, n2, f, delta, divergence_D)
-    return _finalize_budget(components, n1, evaluate, "bound_selective",
+    return _finalize_budget(components, reasons, n1, evaluate, "bound_selective",
                             target_alpha, target_epsilon)

@@ -110,7 +110,7 @@ KEYS = {
                 "bandwidth_cap": (int, 2048)},
     "score": {"rule": (str, "cos-mu2")},
     "frontier": {"family": (_one_of("gaussian", "bernoulli"), "gaussian"),
-                 "divergence": (float, 2.0), "q1": (float, 0.3), "q2": (float, 0.7),
+                 "divergence": (float, None), "q1": (float, None), "q2": (float, None),
                  "alphas": (_parse_floats, None)},
     "bounds": {"n1": (int, 1000), "n2": (int, 1000), "delta": (float, 0.1),
                "divergence": (float, 0.125), "f": (_parse_floats, None),
@@ -234,7 +234,15 @@ def _load_dataset(cfg):
 def _cmd_frontier(args) -> int:
     cfg = _load_config(args)
     frontier = cfg["frontier"]
-    if frontier["family"] == "gaussian":
+    # Each family reads its own keys, at these defaults when unset.
+    own = {"divergence": 2.0} if frontier["family"] == "gaussian" else {"q1": 0.3, "q2": 0.7}
+    for key in ("divergence", "q1", "q2"):
+        if key in own and frontier[key] is None:
+            frontier[key] = own[key]
+        elif key not in own and frontier[key] is not None:
+            raise SystemExit(f"invalid frontier.{key}: the {frontier['family']} family "
+                             f"reads {', '.join(f'frontier.{k}' for k in own)} only")
+    if "divergence" in own:
         family, divergence = None, frontier["divergence"]
         multiples = (0.5, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
     else:

@@ -395,9 +395,10 @@ def split_row_positions(group, labels, train_fraction: float, seed: int):
     """Stratified train/validation row positions over (group, label) strata.
 
     Per stratum the train count is the rounded exact fraction (within 1 of
-    it); strata with fewer than 2 rows go entirely to train, with a warning.
-    Deterministic per seed; the two position arrays are disjoint, exhaustive,
-    and sorted in original row order.
+    it); strata with fewer than 2 rows go entirely to train, with a warning,
+    and a split left with no validation row raises ValueError.  Deterministic
+    per seed; the two position arrays are disjoint, exhaustive, and sorted in
+    original row order.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
@@ -420,6 +421,8 @@ def split_row_positions(group, labels, train_fraction: float, seed: int):
         n_train = min(max(n_train, 1), members.size - 1)
         train_pos.extend(perm[:n_train].tolist())
         val_pos.extend(perm[n_train:].tolist())
+    if not val_pos:
+        raise ValueError("validation split is empty; dataset too small for this fraction")
     return np.array(sorted(train_pos), dtype=int), np.array(sorted(val_pos), dtype=int)
 
 
@@ -428,8 +431,6 @@ def split_stratified(dataset: LabeledDataset, train_fraction: float,
     """Stratified split of a dataset into (train, validation)."""
     train_pos, val_pos = split_row_positions(dataset.group, dataset.labels,
                                              train_fraction, seed)
-    if val_pos.size == 0:
-        raise ValueError("validation split is empty; dataset too small for this fraction")
     return dataset.subset(train_pos), dataset.subset(val_pos)
 
 

@@ -8,7 +8,11 @@ computable, which turns the excess-risk decomposition
     L(h; q) - L(h_q*; q) = KL(q || p) - KL(q^X || p^X)
 
 (h the Bayes predictor of p) into a machine-checkable identity; that is what
-``logloss_decomposition`` and ``check_prop2`` do.
+``logloss_decomposition`` does.  The log-loss guarantee for a model p refit
+on the edited data is two such calls: ``logloss_decomposition(p1, p)`` is
+its removal side (excess loss = alpha - delta1, with alpha = KL(p1 || p) and
+delta1 the input-marginal divergence) and ``logloss_decomposition(p2, p)``
+its preservation side (excess loss = epsilon - delta2).
 
 The classifier is fitted to its optimum by Newton-CG with a backtracking line
 search, from zero or from a given model's weights, with the sigmoid loss for
@@ -30,12 +34,10 @@ from .data_io import P1, P2, LabeledDataset
 __all__ = [
     "FiniteJoint",
     "DecompositionResult",
-    "Prop2Report",
     "ClassifierModel",
     "TrainingMeta",
     "Metrics",
     "logloss_decomposition",
-    "check_prop2",
     "train_logistic",
     "predict_proba",
     "predict",
@@ -151,46 +153,6 @@ def logloss_decomposition(q: FiniteJoint, p: FiniteJoint) -> DecompositionResult
         return DecompositionResult(math.inf, joint_kl, marginal_kl, finite=False)
     excess = loss - _entropy_conditional(q)
     return DecompositionResult(excess, joint_kl, marginal_kl, finite=True)
-
-
-@dataclass(frozen=True)
-class Prop2Report:
-    """All six quantities of the downstream log-loss guarantee check."""
-
-    alpha: float
-    epsilon: float
-    delta1: float
-    delta2: float
-    removal_excess: float
-    preservation_excess: float
-    finite: bool
-
-    @property
-    def removal_identity_gap(self) -> float:
-        return self.removal_excess - (self.alpha - self.delta1)
-
-    @property
-    def preservation_identity_gap(self) -> float:
-        return self.preservation_excess - (self.epsilon - self.delta2)
-
-
-def check_prop2(p1: FiniteJoint, p2: FiniteJoint, p: FiniteJoint) -> Prop2Report:
-    """Evaluate the removal/preservation excess-loss identities against p.
-
-    alpha = KL(p1 || p), epsilon = KL(p2 || p); delta1, delta2 are the input
-    marginal divergences.  The removal excess equals alpha - delta1 and the
-    preservation excess equals epsilon - delta2 exactly (they are identities,
-    not mere inequalities); callers assert the gaps are ~0.
-    """
-    d1 = logloss_decomposition(p1, p)
-    d2 = logloss_decomposition(p2, p)
-    finite = d1.finite and d2.finite
-    return Prop2Report(
-        alpha=d1.joint_kl, epsilon=d2.joint_kl,
-        delta1=d1.marginal_kl, delta2=d2.marginal_kl,
-        removal_excess=d1.excess_loss, preservation_excess=d2.excess_loss,
-        finite=finite,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from typing import Callable
 
 import numpy as np
 
+from .gaussian import GaussianModel
+
 __all__ = [
     "TradeoffPoint",
     "ExpFamilySpec",
@@ -145,7 +147,6 @@ class ExpFamilyFrontierResult:
     lambda_star: float | None
     theta_star: np.ndarray | None
     mean_star: np.ndarray | None
-    divergence: float
     residual: float
 
 
@@ -179,7 +180,7 @@ def _h_of_lambda(family: ExpFamilySpec, lam: float,
     try:
         theta = np.asarray(family.inverse_mean_map(target), dtype=float)
         value = family.kl(family.natural_param_theta1, theta)
-    except (ValueError, ArithmeticError, FloatingPointError, OverflowError):
+    except (ValueError, ArithmeticError):
         return math.inf, None
     if not math.isfinite(value):
         return math.inf, None
@@ -210,13 +211,10 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
         raise ValueError("theta1 and theta2 must differ")
     e1 = np.asarray(family.mean_map(theta1), dtype=float)
     e2 = np.asarray(family.mean_map(theta2), dtype=float)
-    divergence = family.divergence()
-
-    if alpha <= divergence:
+    if alpha <= family.divergence():
         point = TradeoffPoint(alpha=alpha, epsilon=0.0, dominated=True)
         return ExpFamilyFrontierResult(
-            point=point, lambda_star=None, theta_star=None, mean_star=None,
-            divergence=divergence, residual=0.0,
+            point=point, lambda_star=None, theta_star=None, mean_star=None, residual=0.0,
         )
 
     lo, hi = _LAMBDA_LO, _LAMBDA_HI
@@ -283,7 +281,6 @@ def frontier_expfamily(family: ExpFamilySpec, alpha: float) -> ExpFamilyFrontier
         lambda_star=lam,
         theta_star=theta_star,
         mean_star=_mean_at(lam, e1, e2),
-        divergence=divergence,
         residual=residual,
     )
 
@@ -293,14 +290,12 @@ def gaussian_family(mu1, mu2, covariance) -> ExpFamilySpec:
 
     Natural parameter theta = Sigma^{-1} mu, sufficient statistic T(x) = x,
     log-partition A(theta) = theta' Sigma theta / 2, mean map grad A = Sigma
-    theta = mu.
+    theta = mu.  Both members are built as ``GaussianModel``s, which reject a
+    covariance that is not symmetric positive definite with a ValueError.
     """
-    m1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    m2 = np.atleast_1d(np.asarray(mu2, dtype=float))
-    cov = np.asarray(covariance, dtype=float)
-    if cov.ndim == 0:
-        cov = cov.reshape(1, 1)
-    chol = np.linalg.cholesky(cov)
+    p1 = GaussianModel(mu1, covariance)
+    p2 = GaussianModel(mu2, covariance)
+    cov, chol = p1.covariance, p1._chol
 
     def solve(v: np.ndarray) -> np.ndarray:
         y = np.linalg.solve(chol, v)
@@ -317,8 +312,8 @@ def gaussian_family(mu1, mu2, covariance) -> ExpFamilySpec:
         return solve(np.asarray(mean, dtype=float))
 
     return ExpFamilySpec(
-        natural_param_theta1=solve(m1),
-        natural_param_theta2=solve(m2),
+        natural_param_theta1=solve(p1.mean),
+        natural_param_theta2=solve(p2.mean),
         log_partition=log_partition,
         mean_map=mean_map,
         inverse_mean_map=inverse_mean_map,

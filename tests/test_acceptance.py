@@ -20,7 +20,7 @@ from distunlearn.bounds import (
     budget_selective,
 )
 from distunlearn.data_io import TfidfConfig, load_text_tsv
-from distunlearn.downstream import FiniteJoint, check_prop2, logloss_decomposition
+from distunlearn.downstream import FiniteJoint, logloss_decomposition
 from distunlearn.frontier import (
     bernoulli_family,
     frontier_expfamily,
@@ -297,10 +297,11 @@ def test_criterion_07_logloss_identities():
         d = logloss_decomposition(q, p)
         worst_identity = max(worst_identity, abs(d.identity_gap))
         p_alt = FiniteJoint.random(n_x, n_y, gen)
-        rep = check_prop2(q, p, p_alt)
-        worst_prop = max(worst_prop, abs(rep.removal_identity_gap),
-                         abs(rep.preservation_identity_gap))
-        min_processing = min(min_processing, rep.alpha - rep.delta1)
+        removal = logloss_decomposition(q, p_alt)
+        preservation = logloss_decomposition(p, p_alt)
+        worst_prop = max(worst_prop, abs(removal.identity_gap),
+                         abs(preservation.identity_gap))
+        min_processing = min(min_processing, removal.joint_kl - removal.marginal_kl)
     ok = worst_identity <= 1e-12 and worst_prop <= 1e-12 and min_processing >= -1e-15
     report(7, "log-loss decomposition identities", ok,
            f"decomposition gap {worst_identity:.2g}, guarantee-check gap "

@@ -161,6 +161,11 @@ class TestBudgetRandom:
         assert res.applicable
         assert res.f == 0
 
+    def test_zero_divergence_reports_the_removal_limit(self):
+        res = budget_random(100, 100, 0.1, 0.0, 0.01, 0.01)
+        assert not res.applicable
+        assert res.f == 100
+
     def test_inapplicable_reported(self):
         res = budget_random(1000, 100, 0.1, 0.4, 0.05, 0.05)
         assert not res.applicable
@@ -181,6 +186,21 @@ class TestBudgetRandom:
             fed = bound_random(n1, n2, res.f, delta, divergence)
             assert fed.alpha_lower >= alpha
             assert fed.epsilon_upper <= epsilon
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: bound_random(-1, 10, 0, 0.1, 1.0), "n1 >= 0 and n2 >= 1"),
+    (lambda: bound_random(10, 0, 0, 0.1, 1.0), "n1 >= 0 and n2 >= 1"),
+    (lambda: bound_random(10, 10, 0, 0.1, math.inf), "divergence must be finite"),
+    (lambda: bound_random(10, 10, 0, 0.1, math.nan), "divergence must be finite"),
+    (lambda: bound_selective(0, 10, 0, 0.1, 1.0), "needs n1 >= 1"),
+    (lambda: budget_selective(0, 10, 0.1, 1.0, 0.01, 0.01), "needs n1 >= 1"),
+    (lambda: budget_random(10, 10, 0.1, 1.0, 0.0, 0.01), "targets must be positive"),
+    (lambda: budget_selective(10, 10, 0.1, 1.0, 0.01, -0.01), "targets must be positive"),
+])
+def test_bound_and_budget_inputs_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestBudgetSelective:

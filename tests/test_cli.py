@@ -59,6 +59,11 @@ class TestConfigErrors:
          ["dataset.schema"]),
         # the Gaussian frontier takes its divergence alone, not mu1, mu2, sigma2
         (["frontier", "--set", "frontier.sigma2=1"], ["frontier.sigma2", "divergence"]),
+        # each frontier family reads its own keys, not the other family's
+        (["frontier", "--set", "frontier.family=bernoulli", "--set", "frontier.divergence=9"],
+         ["frontier.divergence", "bernoulli", "frontier.q1"]),
+        (["frontier", "--set", "frontier.q1=0.9"],
+         ["frontier.q1", "gaussian", "frontier.divergence"]),
         # repeated rules or seeds, which would write a cell twice or run it once
         (["simulate", "--set", "sweep.rules=random,random"],
          ["[sweep] config", "rules must be distinct", "random, random"]),

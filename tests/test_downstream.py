@@ -12,7 +12,6 @@ from distunlearn import rng as rnglib
 from distunlearn.data_io import LabeledDataset, TfidfConfig, TfidfVectorizer
 from distunlearn.downstream import (
     FiniteJoint,
-    check_prop2,
     evaluate,
     logloss_decomposition,
     predict,
@@ -97,29 +96,30 @@ class TestCheckProp2:
         gen = rnglib.generator(2, "t3")
         p1 = random_joint(gen, 3, 3)
         p2 = random_joint(gen, 3, 3)
-        report = check_prop2(p1, p2, p2)
-        assert report.epsilon == pytest.approx(0.0, abs=1e-15)
-        assert report.delta2 == pytest.approx(0.0, abs=1e-15)
-        assert report.preservation_excess == pytest.approx(0.0, abs=1e-15)
+        preservation = logloss_decomposition(p2, p2)
+        assert preservation.joint_kl == pytest.approx(0.0, abs=1e-15)
+        assert preservation.marginal_kl == pytest.approx(0.0, abs=1e-15)
+        assert preservation.excess_loss == pytest.approx(0.0, abs=1e-15)
 
     def test_p_equals_forget(self):
         gen = rnglib.generator(3, "t4")
         p1 = random_joint(gen, 3, 3)
         p2 = random_joint(gen, 3, 3)
-        report = check_prop2(p1, p2, p1)
-        assert report.alpha == pytest.approx(0.0, abs=1e-15)
-        assert report.removal_excess == pytest.approx(0.0, abs=1e-15)
+        removal = logloss_decomposition(p1, p1)
+        assert removal.joint_kl == pytest.approx(0.0, abs=1e-15)
+        assert removal.excess_loss == pytest.approx(0.0, abs=1e-15)
 
     def test_support_violation_on_the_forget_side(self):
         # p is zero where p1 has mass; p2 lies inside p's support
         p1 = FiniteJoint(np.full((2, 2), 0.25))
         p2 = FiniteJoint(np.array([[0.5, 0.0], [0.5, 0.0]]))
         p = FiniteJoint(np.array([[0.9, 0.0], [0.1, 0.0]]))
-        report = check_prop2(p1, p2, p)
-        assert not report.finite
-        assert report.alpha == report.removal_excess == math.inf
-        assert math.isnan(report.removal_identity_gap)
-        assert abs(report.preservation_identity_gap) <= 1e-15
+        removal = logloss_decomposition(p1, p)
+        preservation = logloss_decomposition(p2, p)
+        assert not removal.finite
+        assert removal.joint_kl == removal.excess_loss == math.inf
+        assert math.isnan(removal.identity_gap)
+        assert abs(preservation.identity_gap) <= 1e-15
 
     def test_identities_on_random_triples(self):
         gen = rnglib.generator(4, "t5")
@@ -127,12 +127,13 @@ class TestCheckProp2:
             p1 = random_joint(gen, 4, 3)
             p2 = random_joint(gen, 4, 3)
             p = random_joint(gen, 4, 3)
-            report = check_prop2(p1, p2, p)
-            assert report.finite
-            assert abs(report.removal_identity_gap) <= 1e-12
-            assert abs(report.preservation_identity_gap) <= 1e-12
+            removal = logloss_decomposition(p1, p)
+            preservation = logloss_decomposition(p2, p)
+            assert removal.finite and preservation.finite
+            assert abs(removal.identity_gap) <= 1e-12
+            assert abs(preservation.identity_gap) <= 1e-12
             # input-marginal divergence never exceeds the joint divergence
-            assert report.alpha - report.delta1 >= -1e-15
+            assert removal.joint_kl - removal.marginal_kl >= -1e-15
 
 
 def two_class_dataset(n=40, d=5, seed=0, separation=2.0):

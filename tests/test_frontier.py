@@ -245,6 +245,14 @@ class TestExpFamilyGaussian:
         with pytest.raises(ValueError, match="differ"):
             frontier_expfamily(fam, 3.0)
 
+    @pytest.mark.parametrize("mu1, mu2, cov, match", [
+        ([0.0, 0.0], [1.0, 1.0], [[1.0, 5.0], [0.0, 1.0]], "covariance must be symmetric"),
+        (0.0, 1.0, -1.0, "covariance must be positive definite"),
+    ])
+    def test_invalid_covariance_rejected(self, mu1, mu2, cov, match):
+        with pytest.raises(ValueError, match=match):
+            gaussian_family(mu1, mu2, cov)
+
 
 class TestExpFamilyBernoulli:
     def test_against_grid_oracle(self):

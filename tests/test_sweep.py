@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from distunlearn import rng as rnglib
 from distunlearn import sweep
-from distunlearn.data_io import LabeledDataset, TfidfConfig
+from distunlearn.data_io import LabeledDataset, TextCorpus, TfidfConfig
 from distunlearn.gaussian import GaussianModel, kl_gaussian, pooled_mle
 from distunlearn.mechanisms import ScoringParams, random_removal, selective_removal_gaussian
 from distunlearn.sweep import (
@@ -322,6 +322,18 @@ class TestRunDatasetSweep:
         result = run_dataset_sweep(ds, PipelineConfig(l2_strength=1e-3, max_iter=300), config)
         assert result.n_failed() == 0
         assert warm_starts == [False, True, False]
+
+    @pytest.mark.parametrize("source", [
+        TextCorpus(ids=("a", "b"), labels=(1, 0), texts=("red fox", "blue whale")),
+        LabeledDataset(features=np.eye(2), labels=[1, 0], group=["P1", "P2"],
+                       row_ids=["a", "b"]),
+    ])
+    def test_two_row_source_names_the_empty_validation_split(self, source):
+        # every stratum has one row, so every row goes to train
+        config = SweepConfig(rules=("random",), budget_fractions=(0.0,), seeds=(0,))
+        with pytest.warns(UserWarning, match="stratum"):
+            with pytest.raises(ValueError, match="validation split is empty"):
+                run_dataset_sweep(source, PipelineConfig(), config)
 
     def test_deterministic_rerun(self):
         corpus = two_cluster_corpus(n_p1=30, n_p2=120, seed=7)
