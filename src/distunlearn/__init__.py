@@ -18,12 +18,12 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "bounds": ("BudgetResult", "GuaranteeBound", "bound_random", "bound_selective",
-               "budget_random", "budget_selective", "deviation_terms"),
+               "budget_random", "budget_selective"),
     "data_io": ("LabeledDataset", "TextCorpus", "TfidfConfig", "TfidfVectorizer",
                 "downsample_p2", "load_features_csv", "load_text_tsv", "read_schema_file",
                 "split_stratified", "write_text_tsv"),
     "downstream": ("ClassifierModel", "FiniteJoint", "Metrics", "evaluate",
-                   "logloss_decomposition", "predict", "predict_proba", "train_logistic"),
+                   "logloss_decomposition", "predict_proba", "train_logistic"),
     "frontier": ("ExpFamilySpec", "TradeoffPoint", "bernoulli_family", "frontier_expfamily",
                  "frontier_gaussian", "gaussian_family"),
     "gaussian": ("GaussianModel", "g_folded", "g_inverse", "kl_gaussian", "pooled_mle"),

@@ -38,7 +38,6 @@ __all__ = [
     "bound_selective",
     "budget_random",
     "budget_selective",
-    "deviation_terms",
 ]
 
 
@@ -128,22 +127,6 @@ def bound_selective(n1: int, n2: int, f: int, delta: float, divergence_D: float)
     epsilon = main + 2.0 * big_l / n2
     return GuaranteeBound(alpha_lower=alpha, epsilon_upper=epsilon,
                           divergence_D=divergence_D, quantile_arg=q)
-
-
-def deviation_terms(n: int, delta: float, sigma: float) -> tuple[float, float]:
-    """(Hoeffding mean radius, DKW CDF radius) at confidence 1 - delta.
-
-    hoeffding = sigma * sqrt(2 ln(2/delta) / n);  dkw = sqrt(ln(2/delta) / 2n).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    hoeffding = sigma * math.sqrt(2.0 * math.log(2.0 / delta) / n)
-    dkw = math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-    return hoeffding, dkw
 
 
 def _meets_targets(bound: GuaranteeBound, target_alpha: float, target_epsilon: float) -> bool:

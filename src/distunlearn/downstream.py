@@ -40,7 +40,6 @@ __all__ = [
     "logloss_decomposition",
     "train_logistic",
     "predict_proba",
-    "predict",
     "evaluate",
 ]
 
@@ -224,8 +223,9 @@ def _conjugate_gradient(hessp, grad, rtol, max_steps):
 
     Stops once the residual norm falls to ``rtol * ||grad||`` or after
     ``max_steps`` steps.  A direction without positive curvature (which
-    takes l2_strength = 0 or saturated probabilities) ends the solve with the
-    step found so far, or with steepest descent if there is none.
+    takes l2_strength = 0 or saturated probabilities), or with curvature so
+    small that the CG step length overflows, ends the solve with the step
+    found so far, or with steepest descent if there is none.
     """
     step = np.zeros_like(grad)
     resid = -grad
@@ -235,9 +235,10 @@ def _conjugate_gradient(hessp, grad, rtol, max_steps):
     for i in range(max_steps):
         h_dir = hessp(direction)
         curvature = float(np.vdot(direction, h_dir))
-        if curvature <= 0.0:
+        # A subnormal curvature overflows rr / curvature: treat it as none.
+        alpha = rr / curvature if curvature > 0.0 else math.inf
+        if not math.isfinite(alpha):
             return step if i else -grad
-        alpha = rr / curvature
         step += alpha * direction
         resid -= alpha * h_dir
         rr_next = float(np.vdot(resid, resid))
@@ -356,12 +357,6 @@ def predict_proba(model: ClassifierModel, features) -> np.ndarray:
         return np.column_stack([1.0 - pos, pos])
     logits = np.asarray(features @ model.weights.T) + model.bias
     return softmax(logits, axis=1)
-
-
-def predict(model: ClassifierModel, features) -> np.ndarray:
-    """Predicted class labels (ties resolve to the lower class index)."""
-    proba = predict_proba(model, features)
-    return model.classes[np.argmax(proba, axis=1)]
 
 
 @dataclass(frozen=True)

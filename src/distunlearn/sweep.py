@@ -1,20 +1,30 @@
 """Experiment engine: budget sweeps, target-budget analysis, and emission.
 
-A sweep runs one cell per (rule, budget fraction, seed).  Every random
-choice in a cell comes from a sub-stream derived from the master seed and
-the cell coordinates (see :mod:`distunlearn.rng`):
+Both sweeps run one loop over (seed, rule, budget) cells:
+
+1. per seed, draw the samples (Gaussian sweep) or split and featurize the
+   dataset (dataset sweep);
+2. per (seed, rule), rank the seed's n1 forget rows for deletion once;
+   ``random`` ranks by one seeded permutation;
+3. per budget b, delete the first f = round(b * n1) ranked rows, so every
+   budget's plan is a prefix of that one ranking, then refit and measure;
+4. each cell hands a carry to the next budget of its (seed, rule) chain:
+   the Gaussian sweep its forget samples gathered once in deletion order,
+   the dataset sweep its fit, which warm-starts the next fit when both
+   training sets have the same classes.  Every fit still iterates to
+   ``tol``, so each metric is that of an optimum to within ``tol``.
+
+A ranking that raises ``ValueError`` fails every budget of its rule with
+``scoring failed: <reason>``; any other ``ValueError`` fails its cell
+alone.  Failed cells keep their reason and are never dropped.
+
+Every random choice in a cell comes from a sub-stream derived from the
+master seed and the cell coordinates (see :mod:`distunlearn.rng`);
+classifier training draws none:
 
     samples / split / featurization : (master, "samples"|"split", seed)
-    random deletion order           : (master, "plan", rule, seed)
+    random deletion order           : (master, "plan", "random", seed)
     p2 downsampling                 : (master, "downsample", rule, budget_idx, seed)
-
-Classifier training draws no randomness.  Within one (seed, rule), each
-budget's fit starts from the previous budget's optimum when both training
-sets have the same classes, and from zero otherwise; every fit still
-iterates to ``tol``, so each metric is that of an optimum to within ``tol``.
-
-Every rule ranks each seed's forget rows once, and every budget's plan is
-a prefix of that ranking; ``random`` ranks by one seeded permutation.
 
 Sampling and splitting deliberately ignore the rule and budget so that
 budget-0 cells coincide across rules for a shared seed.
@@ -184,17 +194,41 @@ class SweepResult:
         return {key: float(np.mean(values)) for key, values in groups.items()}
 
 
-def _random_ranking(config: SweepConfig, n1: int, seed: int) -> RemovalPlan:
-    """A seed's random deletion order: one seeded permutation of its n1 rows."""
-    return random_removal(n1, n1, derive_seed(config.master_seed, "plan", "random", seed))
+def _run_cells(config: SweepConfig, kind: str, known: tuple[str, ...],
+               prepare_seed, rank, measure) -> list[CellResult]:
+    """The one cell loop of both sweeps (see the module docstring); rows
+    come out in (seed, rule, budget) order.
 
-
-def _budget_plans(config: SweepConfig, ranked: np.ndarray):
-    """Yield ``(budget_idx, budget, f, removed)`` for every budget of a
-    (rule, seed): the first f = round(budget * n1) of its ``ranked`` rows."""
-    for b_idx, budget in enumerate(config.budget_fractions):
-        f = int(round(budget * ranked.size))
-        yield b_idx, budget, f, ranked[:f]
+    ``prepare_seed(seed)`` returns ``(data, n1)``, with n1 the seed's forget
+    rows; ``rank(data, rule)`` returns a rule's plan of all n1 rows; and
+    ``measure(data, rule, seed, b_idx, ranked, f, carry)`` returns the
+    cell's metrics and the carry for the next budget (None at the first).
+    A failed cell leaves the carry as it was.
+    """
+    for rule in config.rules:
+        if rule not in known:
+            raise ValueError(f"{kind} sweep supports rules {known}, got {rule!r}")
+    rows = []
+    for seed in config.seeds:
+        data, n1 = prepare_seed(seed)
+        for rule in config.rules:
+            try:
+                ranked = (random_removal(n1, n1, derive_seed(config.master_seed, "plan",
+                                                             "random", seed))
+                          if rule == "random" else rank(data, rule)).removed_indices
+            except ValueError as exc:
+                rows += [CellResult(rule, budget, seed, {}, f"scoring failed: {exc}")
+                         for budget in config.budget_fractions]
+                continue
+            carry = None
+            for b_idx, budget in enumerate(config.budget_fractions):
+                f = int(round(budget * n1))
+                try:
+                    metrics, carry = measure(data, rule, seed, b_idx, ranked, f, carry)
+                    rows.append(CellResult(rule, budget, seed, metrics))
+                except ValueError as exc:
+                    rows.append(CellResult(rule, budget, seed, {}, str(exc)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +254,31 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
         raise ValueError("mu2 must be finite")
     if n1 < 1 or n2 < 1:
         raise ValueError("need n1 >= 1 and n2 >= 1")
-    for rule in config.rules:
-        if rule not in GAUSSIAN_RULES:
-            raise ValueError(f"gaussian sweep supports rules {GAUSSIAN_RULES}, got {rule!r}")
     p1_true = GaussianModel.univariate(0.0, 1.0)
     p2_true = GaussianModel.univariate(mu2, 1.0)
 
-    has_full = config.budget_fractions[-1] == 1.0  # budgets ascend
-    rows = []
-    for seed in config.seeds:
+    def prepare_seed(seed):
         gen = rnglib.generator(config.master_seed, "samples", seed)
-        x1 = gen.normal(0.0, 1.0, n1)
-        x2 = gen.normal(mu2, 1.0, n2)
-        for rule in config.rules:
-            ranked = (_random_ranking(config, n1, seed) if rule == "random"
-                      else selective_removal_gaussian(x1, x2, n1)).removed_indices
+        return (gen.normal(0.0, 1.0, n1), gen.normal(mu2, 1.0, n2)), n1
+
+    def measure(data, rule, seed, b_idx, ranked, f, in_order):
+        x1, x2 = data
+        if in_order is None:
             in_order = x1[ranked]  # deletion order: budget f keeps in_order[f:]
-            cells = []
-            for _, budget, f, _ in _budget_plans(config, ranked):
-                fit = pooled_mle(in_order[f:] if f else x1, x2, 1.0)
-                metrics = {"alpha": kl_gaussian(p1_true, fit),
-                           "epsilon": kl_gaussian(p2_true, fit), "f": float(f)}
-                cells.append(CellResult(rule, budget, seed, metrics))
-            if has_full:  # the last cell deleted every forget sample
-                full = cells[-1].metrics["alpha"]
-                for cell in cells:
-                    cell.metrics["alpha_remaining"] = full - cell.metrics["alpha"]
-            rows += cells
+        fit = pooled_mle(in_order[f:] if f else x1, x2, 1.0)
+        return {"alpha": kl_gaussian(p1_true, fit), "epsilon": kl_gaussian(p2_true, fit),
+                "f": float(f)}, in_order
+
+    rows = _run_cells(config, "gaussian", GAUSSIAN_RULES, prepare_seed,
+                      lambda data, rule: selective_removal_gaussian(*data, n1), measure)
+    has_full = config.budget_fractions[-1] == 1.0  # budgets ascend
+    if has_full:  # each chain's last cell deleted every forget sample
+        n_budgets = len(config.budget_fractions)
+        for start in range(0, len(rows), n_budgets):
+            chain = rows[start:start + n_budgets]
+            full = chain[-1].metrics["alpha"]
+            for cell in chain:
+                cell.metrics["alpha_remaining"] = full - cell.metrics["alpha"]
     metric_names = ("alpha", "epsilon", "f") + (("alpha_remaining",) if has_full else ())
     return SweepResult(rows=rows, metric_names=metric_names)
 
@@ -254,22 +286,6 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
 # ---------------------------------------------------------------------------
 # dataset sweep
 # ---------------------------------------------------------------------------
-
-
-def _prepare_seed_text(corpus: TextCorpus, pipeline: PipelineConfig, split_seed: int,
-                       vec: TfidfVectorizer):
-    labels = np.asarray(corpus.labels, dtype=int)
-    group = np.where(labels == pipeline.p1_label, P1, P2)
-    train_pos, val_pos = split_row_positions(group, labels, pipeline.train_fraction, split_seed)
-    texts = np.asarray(corpus.texts, dtype=object)
-    ids = np.asarray(corpus.ids, dtype=object)
-    x_train = vec.fit_transform(texts[train_pos])
-    x_val = vec.transform(texts[val_pos])
-    train = LabeledDataset(features=x_train, labels=labels[train_pos],
-                           group=group[train_pos], row_ids=ids[train_pos])
-    val = LabeledDataset(features=x_val, labels=labels[val_pos],
-                         group=group[val_pos], row_ids=ids[val_pos])
-    return train, val
 
 
 def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineConfig,
@@ -283,60 +299,50 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
     A failing cell (for example a single-class training set at extreme
     budgets) is recorded with its reason, never silently dropped.
     """
-    for rule in config.rules:
-        if rule not in DATASET_RULES:
-            raise ValueError(f"dataset sweep supports rules {DATASET_RULES}, got {rule!r}")
-
     vec = TfidfVectorizer(pipeline.tfidf)
-    rows = []
-    for seed in config.seeds:
+
+    def prepare_seed(seed):
         split_seed = derive_seed(config.master_seed, "split", seed)
         if isinstance(source, TextCorpus):
-            train, val = _prepare_seed_text(source, pipeline, split_seed, vec)
+            labels = np.asarray(source.labels, dtype=int)
+            group = np.where(labels == pipeline.p1_label, P1, P2)
+            texts = np.asarray(source.texts, dtype=object)
+            ids = np.asarray(source.ids, dtype=object)
+            train_pos, val_pos = split_row_positions(group, labels, pipeline.train_fraction,
+                                                     split_seed)
+            x_train = vec.fit_transform(texts[train_pos])  # fitted on the train split only
+            train, val = (LabeledDataset(features=x, labels=labels[pos], group=group[pos],
+                                         row_ids=ids[pos])
+                          for x, pos in ((x_train, train_pos),
+                                         (vec.transform(texts[val_pos]), val_pos)))
         else:
             train, val = split_stratified(source, pipeline.train_fraction, split_seed)
         p1_pos = train.p1_positions()
-        p2_pos = train.p2_positions()
-        n1_train = p1_pos.size
-        for rule in config.rules:
-            try:
-                if rule == "random":
-                    ranked = _random_ranking(config, n1_train, seed).removed_indices
-                else:
-                    scored = score_features(train.features[p1_pos], train.features[p2_pos],
-                                            rule, config.scoring)
-                    ranked = plan_from_scores(scored, rule, n1_train).removed_indices
-            except ValueError as exc:
-                rows += [CellResult(rule=rule, budget_fraction=budget, seed=seed,
-                                    metrics={}, failure_reason=f"scoring failed: {exc}")
-                         for budget in config.budget_fractions]
-                continue
-            model = None  # the chain's last fit, which warm-starts the next
-            for b_idx, budget, f, removed in _budget_plans(config, ranked):
-                try:
-                    edited = apply_plan(train, RemovalPlan(rule=rule, removed_indices=removed))
-                    reduced = downsample_p2(
-                        edited, pipeline.downsample_ratio,
-                        derive_seed(config.master_seed, "downsample", rule, b_idx, seed))
-                    warm = model is not None and np.array_equal(
-                        model.classes, np.unique(reduced.labels))
-                    model = train_logistic(reduced, pipeline.l2_strength,
-                                           max_iter=pipeline.max_iter, tol=pipeline.tol,
-                                           init=model if warm else None)
-                    metrics_obj = evaluate(model, val, positive_label=pipeline.p1_label)
-                    metrics = {
-                        "recall_p1": metrics_obj.recall_p1,
-                        "macro_f1_p2": metrics_obj.macro_f1_p2,
-                        "logloss": metrics_obj.logloss,
-                        "f": float(f),
-                    }
-                    for cls, acc in metrics_obj.accuracy_per_class.items():
-                        metrics[f"acc_class_{cls}"] = acc
-                    rows.append(CellResult(rule=rule, budget_fraction=budget,
-                                           seed=seed, metrics=metrics))
-                except ValueError as exc:
-                    rows.append(CellResult(rule=rule, budget_fraction=budget, seed=seed,
-                                           metrics={}, failure_reason=str(exc)))
+        return (train, val, p1_pos, train.p2_positions()), p1_pos.size
+
+    def rank(data, rule):
+        train, _, p1_pos, p2_pos = data
+        scored = score_features(train.features[p1_pos], train.features[p2_pos], rule,
+                                config.scoring)
+        return plan_from_scores(scored, rule, p1_pos.size)
+
+    def measure(data, rule, seed, b_idx, ranked, f, model):
+        train, val, _, _ = data
+        edited = apply_plan(train, RemovalPlan(rule=rule, removed_indices=ranked[:f]))
+        reduced = downsample_p2(edited, pipeline.downsample_ratio,
+                                derive_seed(config.master_seed, "downsample", rule, b_idx, seed))
+        # the chain's last fit warm-starts this one when the classes agree
+        warm = model is not None and np.array_equal(model.classes, np.unique(reduced.labels))
+        model = train_logistic(reduced, pipeline.l2_strength, max_iter=pipeline.max_iter,
+                               tol=pipeline.tol, init=model if warm else None)
+        scores = evaluate(model, val, positive_label=pipeline.p1_label)
+        metrics = {"recall_p1": scores.recall_p1, "macro_f1_p2": scores.macro_f1_p2,
+                   "logloss": scores.logloss, "f": float(f)}
+        for cls, acc in scores.accuracy_per_class.items():
+            metrics[f"acc_class_{cls}"] = acc
+        return metrics, model
+
+    rows = _run_cells(config, "dataset", DATASET_RULES, prepare_seed, rank, measure)
     names = sorted({name for row in rows for name in row.metrics})
     return SweepResult(rows=rows, metric_names=tuple(names))
 

@@ -29,6 +29,9 @@ def two_cluster_corpus(n_p1: int = 200, n_p2: int = 800, seed: int = 0,
     """
     if n_p1 < 1 or n_p2 < 1:
         raise ValueError("both clusters need at least one document")
+    for name, size in (("n_specific", n_specific), ("n_shared", n_shared)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1 (a vocabulary needs a word), got {size}")
     if not 0.0 < specific_frac < 1.0:
         raise ValueError("specific_frac must lie in (0, 1)")
     spam_words = [f"spamword{i:02d}" for i in range(n_specific)]

@@ -11,7 +11,6 @@ from distunlearn.bounds import (
     bound_selective,
     budget_random,
     budget_selective,
-    deviation_terms,
 )
 from distunlearn.gaussian import g_inverse
 
@@ -110,32 +109,6 @@ class TestBoundSelective:
             rnd = bound_random(n1, n2, f, delta, divergence)
             assert sel.applicable
             assert sel.epsilon_upper <= rnd.epsilon_upper
-
-
-class TestDeviationTerms:
-    def test_hoeffding_unit_identity(self):
-        delta = 0.1
-        n = 2 * math.log(2 / delta)
-        hoeffding, _ = deviation_terms(math.ceil(n), delta, 1.0)
-        exact = math.sqrt(2 * math.log(2 / delta) / math.ceil(n))
-        assert hoeffding == pytest.approx(exact, abs=1e-15)
-
-    def test_reference_value(self):
-        hoeffding, _ = deviation_terms(1000, 0.05, 1.0)
-        assert hoeffding == pytest.approx(0.08589388166934751, abs=1e-12)
-
-    def test_dkw_halves_when_n_quadruples(self):
-        _, dkw_n = deviation_terms(500, 0.1, 1.0)
-        _, dkw_4n = deviation_terms(2000, 0.1, 1.0)
-        assert dkw_4n == pytest.approx(dkw_n / 2, abs=1e-15)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            deviation_terms(0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            deviation_terms(10, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            deviation_terms(10, 0.1, 0.0)
 
 
 class TestBudgetRandom:

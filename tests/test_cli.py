@@ -110,6 +110,11 @@ class TestConfigErrors:
         (["experiment", "--set", "train.l2_strength=-1"], ["l2_strength", "-1.0"]),
         (["experiment", "--set", "train.max_iter=0"], ["max_iter", "0"]),
         (["experiment", "--set", "train.tol=-1"], ["tol", "-1.0"]),
+        # a synthetic corpus needs words in both vocabularies
+        (["experiment", "--set", "dataset.kind=synthetic", "--set", "dataset.n_specific=0"],
+         ["experiment input", "n_specific", "0"]),
+        (["score", "--set", "dataset.kind=synthetic", "--set", "dataset.n_shared=0"],
+         ["score input", "n_shared", "0"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
