@@ -195,9 +195,10 @@ def _print_half_targets(result, rules, metric: str) -> None:
     from .sweep import half_target_budget
 
     initial = {rule for rule, budget in result.aggregate(metric) if budget == 0.0}
+    ran = {row.rule for row in result.rows if row.budget_fraction == 0.0 and not row.failed}
     for rule in rules:
-        if rule not in initial:  # every budget-0 cell of the rule failed
-            text = "undefined (no budget-0 cell)"
+        if rule not in initial:  # no budget-0 cell ran, or none holds a value
+            text = f"undefined (no budget-0 {'value' if rule in ran else 'cell'})"
         else:
             half = half_target_budget(result, rule, metric)
             text = "not reached" if half is None else f"{half:.4f}"

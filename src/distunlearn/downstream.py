@@ -16,9 +16,15 @@ its preservation side (excess loss = epsilon - delta2).
 
 The classifier is fitted to its optimum by Newton-CG with a backtracking line
 search, from zero or from a given model's weights, with the sigmoid loss for
-two classes and multinomial softmax otherwise.  It works on Hessian-vector
-products, so memory stays linear in the nonzeros and the feature count.  No
-stochasticity enters anywhere, so retraining is bit-reproducible.
+two classes and multinomial softmax otherwise.  The line search halves the
+Newton step until the objective falls, and gives up only once the halved step
+no longer moves the weights.  Training works on Hessian-vector products, so
+memory stays linear in the nonzeros and the feature count.  No stochasticity
+enters anywhere, so retraining is bit-reproducible.
+
+``evaluate`` reads every count-based metric (forget-slice recall,
+preserve-slice macro F1, per-class accuracy) from one table of (slice, true
+label, predicted label) counts.
 """
 
 from __future__ import annotations
@@ -89,45 +95,15 @@ def _kl_discrete(q: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(q[mask] * (np.log(q[mask]) - np.log(p[mask]))))
 
 
-def _bayes_logloss(q: FiniteJoint, p: FiniteJoint) -> float:
-    """Expected log-loss under q of the Bayes predictor of p."""
-    qx = q.marginal_x()
-    px = p.marginal_x()
-    total = 0.0
-    for x in range(q.n_x):
-        if qx[x] == 0:
-            continue
-        if px[x] == 0:
-            return math.inf
-        cond_p = p.probs[x] / px[x]
-        for y in range(q.n_y):
-            if q.probs[x, y] == 0:
-                continue
-            if cond_p[y] == 0:
-                return math.inf
-            total -= q.probs[x, y] * math.log(cond_p[y])
-    return total
-
-
-def _entropy_conditional(q: FiniteJoint) -> float:
-    """Bayes-optimal risk under q: expected conditional label entropy."""
-    qx = q.marginal_x()
-    total = 0.0
-    for x in range(q.n_x):
-        if qx[x] == 0:
-            continue
-        cond = q.probs[x] / qx[x]
-        nz = cond > 0
-        total -= qx[x] * float(np.sum(cond[nz] * np.log(cond[nz])))
-    return total
-
-
 @dataclass(frozen=True)
 class DecompositionResult:
     excess_loss: float
     joint_kl: float
     marginal_kl: float
-    finite: bool
+
+    @property
+    def finite(self) -> bool:
+        return math.isfinite(self.joint_kl)
 
     @property
     def identity_gap(self) -> float:
@@ -139,19 +115,25 @@ class DecompositionResult:
 def logloss_decomposition(q: FiniteJoint, p: FiniteJoint) -> DecompositionResult:
     """Excess log-loss of p's Bayes predictor under q, plus both KL terms.
 
-    ``excess_loss`` is computed from the two expected losses directly;
-    ``joint_kl - marginal_kl`` is the other side of the identity.  Support
-    violations are reported through ``finite=False`` with infinite values.
+    ``excess_loss`` is the difference of the two expected losses under q,
+    each a sum over q's support: of -log p(y | x) (p's Bayes predictor) and
+    of -log q(y | x) (q's Bayes risk); ``joint_kl - marginal_kl`` is the
+    other side of the identity.  The loss is infinite exactly when p lacks
+    mass that q has, that is when ``joint_kl`` is; then ``finite`` is False
+    and ``excess_loss`` is inf.
     """
     if q.probs.shape != p.probs.shape:
         raise ValueError("joints must share the same support grid")
+    qx, px = q.marginal_x(), p.marginal_x()
     joint_kl = _kl_discrete(q.probs, p.probs)
-    marginal_kl = _kl_discrete(q.marginal_x(), p.marginal_x())
-    loss = _bayes_logloss(q, p)
-    if math.isinf(joint_kl) or math.isinf(loss):
-        return DecompositionResult(math.inf, joint_kl, marginal_kl, finite=False)
-    excess = loss - _entropy_conditional(q)
-    return DecompositionResult(excess, joint_kl, marginal_kl, finite=True)
+    marginal_kl = _kl_discrete(qx, px)
+    if math.isinf(joint_kl):
+        return DecompositionResult(math.inf, joint_kl, marginal_kl)
+    x, y = np.nonzero(q.probs)  # q's support, where px and qx are positive
+    mass = q.probs[x, y]
+    loss = -float(np.sum(mass * np.log(p.probs[x, y] / px[x])))
+    risk = -float(np.sum(mass * np.log(mass / qx[x])))
+    return DecompositionResult(loss - risk, joint_kl, marginal_kl)
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +162,11 @@ class ClassifierModel:
     classes: np.ndarray
     training_meta: TrainingMeta
 
-    @property
-    def binary(self) -> bool:
-        return self.classes.size == 2 and self.weights.shape[0] == 1
-
-
-def _matvec(x, w):
-    out = x @ w
-    return np.asarray(out).ravel() if sp.issparse(x) else out
-
 
 _ARMIJO = 1e-4  # sufficient decrease, as a fraction of the directional derivative
-_MAX_HALVINGS = 40  # backtracking steps before the line search gives up
+# Backtracking halvings before the line search gives up: 2**-1100 underflows
+# to 0, so by then any finite step no longer moves theta.
+_MAX_HALVINGS = 1100
 
 
 def _sigmoid_link(z, y_index):
@@ -249,6 +224,31 @@ def _conjugate_gradient(hessp, grad, rtol, max_steps):
     return step
 
 
+def _line_search(objective, theta, step, value, grad, grad_norm):
+    """Backtracking (Armijo) search along ``step`` from ``theta``.
+
+    Returns the first accepted trial as (theta, value, grad, curvature,
+    grad_norm), or None once a halved step no longer moves theta.
+    """
+    slope = float(np.vdot(grad, step))
+    t = 1.0
+    trial = theta + step
+    for _ in range(_MAX_HALVINGS):
+        trial_value, trial_grad, trial_curvature = objective(trial)
+        trial_norm = float(np.linalg.norm(trial_grad))
+        # Near the optimum rounding can hide the decrease Armijo asks for; a
+        # step that does not raise the objective and shrinks the gradient is
+        # then still progress.
+        if (trial_value <= value + _ARMIJO * t * slope
+                or (trial_value <= value and trial_norm < grad_norm)):
+            return trial, trial_value, trial_grad, trial_curvature, trial_norm
+        t *= 0.5
+        trial = theta + t * step
+        if np.array_equal(trial, theta):
+            break
+    return None
+
+
 def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, *,
                    max_iter: int = 500, tol: float = 1e-6,
                    init: ClassifierModel | None = None) -> ClassifierModel:
@@ -271,15 +271,14 @@ def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, *,
     fewer iterations reach the same ``tol``.  Iteration stops when the
     gradient norm reaches ``tol`` (converged), or, recorded as
     non-converged, after ``max_iter`` Newton iterations or when no step
-    along the Newton direction lowers the objective.
+    along the Newton direction lowers the objective: the line search halves
+    the step until the objective falls or the step no longer moves the
+    weights.
     """
     if l2_strength < 0:
         raise ValueError("l2_strength must be >= 0")
     x = train.features
-    if sp.issparse(x):
-        if not np.all(np.isfinite(x.data)):
-            raise ValueError("features contain non-finite values")
-    elif not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
         raise ValueError("features contain non-finite values")
     classes = np.unique(train.labels)
     if classes.size < 2:
@@ -322,23 +321,10 @@ def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, *,
         step = _conjugate_gradient(
             lambda v: backward(curvature(x @ v[:d] + v[d]), v[:d]),
             grad, min(0.5, math.sqrt(grad_norm)), theta.size)
-        slope = float(np.vdot(grad, step))
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = theta + t * step
-            trial_value, trial_grad, trial_curvature = objective(trial)
-            trial_norm = float(np.linalg.norm(trial_grad))
-            # Near the optimum rounding can hide the decrease Armijo asks
-            # for; a step that does not raise the objective and shrinks the
-            # gradient is then still progress.
-            if (trial_value <= value + _ARMIJO * t * slope
-                    or (trial_value <= value and trial_norm < grad_norm)):
-                break
-            t *= 0.5
-        else:
+        accepted = _line_search(objective, theta, step, value, grad, grad_norm)
+        if accepted is None:
             break
-        theta, value, grad, curvature = trial, trial_value, trial_grad, trial_curvature
-        grad_norm = trial_norm
+        theta, value, grad, curvature, grad_norm = accepted
         trace.append(value)
         iterations += 1
     meta = TrainingMeta(iterations=iterations, converged=grad_norm <= tol,
@@ -351,11 +337,10 @@ def predict_proba(model: ClassifierModel, features) -> np.ndarray:
     """Class probabilities (n x n_classes) in ``model.classes`` order."""
     from scipy.special import expit, softmax
 
-    if model.binary:
-        z = _matvec(features, model.weights[0]) + model.bias[0]
-        pos = expit(z)
-        return np.column_stack([1.0 - pos, pos])
     logits = np.asarray(features @ model.weights.T) + model.bias
+    if model.weights.shape[0] == 1:  # one sigmoid row for two classes
+        pos = expit(logits[:, 0])
+        return np.column_stack([1.0 - pos, pos])
     return softmax(logits, axis=1)
 
 
@@ -369,14 +354,6 @@ class Metrics:
     logloss: float
 
 
-def _f1(tp: int, fp: int, fn: int) -> float:
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def evaluate(model: ClassifierModel, test: LabeledDataset,
              positive_label: int = 1) -> Metrics:
     """Compute the sweep metrics on a tagged test set.
@@ -387,32 +364,35 @@ def evaluate(model: ClassifierModel, test: LabeledDataset,
     whole test set.
     """
     proba = predict_proba(model, test.features)
-    preds = model.classes[np.argmax(proba, axis=1)]
-
-    p1_mask = test.group == P1
-    p2_mask = test.group == P2
+    # One count table of (slice, true label, predicted label) over every
+    # label in the test set or the model; slice 0 is P1, slice 1 is P2.
+    labels = np.union1d(test.labels, model.classes)
+    k = labels.size
+    true = np.searchsorted(labels, test.labels)
+    pred = np.searchsorted(labels, model.classes)[np.argmax(proba, axis=1)]
+    cell = ((test.group == P2) * k + true) * k + pred
+    counts = np.bincount(cell, minlength=2 * k * k).reshape(2, k, k)
 
     recall_p1 = None
-    pos_mask = p1_mask & (test.labels == positive_label)
-    if pos_mask.any():
-        recall_p1 = float(np.mean(preds[pos_mask] == positive_label))
+    pos = np.searchsorted(labels, positive_label)
+    if pos < k and labels[pos] == positive_label and counts[0, pos].any():
+        recall_p1 = float(counts[0, pos, pos] / counts[0, pos].sum())
 
     macro_f1 = None
-    if p2_mask.any():
-        true2 = test.labels[p2_mask]
-        pred2 = preds[p2_mask]
-        f1s = []
-        for c in np.unique(true2):
-            tp = int(np.sum((pred2 == c) & (true2 == c)))
-            fp = int(np.sum((pred2 == c) & (true2 != c)))
-            fn = int(np.sum((pred2 != c) & (true2 == c)))
-            f1s.append(_f1(tp, fp, fn))
-        macro_f1 = float(np.mean(f1s))
+    table = counts[1]
+    actual = table.sum(axis=1)
+    if actual.any():
+        tp = np.diagonal(table)
+        predicted = table.sum(axis=0)
+        precision = np.divide(tp, predicted, out=np.zeros(k), where=predicted > 0)
+        recall = np.divide(tp, actual, out=np.zeros(k), where=actual > 0)
+        total = precision + recall
+        f1 = np.divide(2.0 * precision * recall, total, out=np.zeros(k), where=total > 0)
+        macro_f1 = float(np.mean(f1[actual > 0]))
 
-    per_class = {}
-    for c in np.unique(test.labels):
-        mask = test.labels == c
-        per_class[int(c)] = float(np.mean(preds[mask] == c))
+    whole = counts.sum(axis=0)
+    rows = whole.sum(axis=1)
+    per_class = {int(labels[c]): float(whole[c, c] / rows[c]) for c in np.flatnonzero(rows)}
 
     # Each row's probability of its own label; 0 for a class the model never saw.
     own = np.sum(proba * (test.labels[:, None] == model.classes), axis=1)

@@ -297,17 +297,24 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
     per sweep), scored, edited, downsampled, retrained, and evaluated on the
     untouched validation split.  Featurized datasets skip the TF-IDF step.
     A failing cell (for example a single-class training set at extreme
-    budgets) is recorded with its reason, never silently dropped.
+    budgets) is recorded with its reason, never silently dropped; a source
+    without forget rows is rejected before any seed runs.
     """
     vec = TfidfVectorizer(pipeline.tfidf)
+    if isinstance(source, TextCorpus):
+        labels = np.asarray(source.labels, dtype=int)
+        group = np.where(labels == pipeline.p1_label, P1, P2)
+        if not np.any(group == P1):
+            raise ValueError(f"pipeline.p1_label={pipeline.p1_label} matches no document; "
+                             f"the corpus has labels {np.unique(labels).tolist()}")
+        texts = np.asarray(source.texts, dtype=object)
+        ids = np.asarray(source.ids, dtype=object)
+    elif source.p1_positions().size == 0:
+        raise ValueError("the dataset has no P1 (forget) rows")
 
     def prepare_seed(seed):
         split_seed = derive_seed(config.master_seed, "split", seed)
         if isinstance(source, TextCorpus):
-            labels = np.asarray(source.labels, dtype=int)
-            group = np.where(labels == pipeline.p1_label, P1, P2)
-            texts = np.asarray(source.texts, dtype=object)
-            ids = np.asarray(source.ids, dtype=object)
             train_pos, val_pos = split_row_positions(group, labels, pipeline.train_fraction,
                                                      split_seed)
             x_train = vec.fit_transform(texts[train_pos])  # fitted on the train split only
@@ -386,9 +393,8 @@ def half_target_budget(result: SweepResult, rule: str, metric: str) -> float | N
     no swept budget qualifies."""
     agg = result.aggregate(metric)
     if (rule, 0.0) not in agg:
-        raise ValueError(
-            f"missing budget-0 cell for rule {rule!r}: the initial value is undefined"
-        )
+        raise ValueError(f"no budget-0 value of {metric!r} for rule {rule!r}: "
+                         "the initial value is undefined")
     initial = agg[(rule, 0.0)]
     return budget_to_reach(result, rule, metric, 0.5 * initial, direction="down")
 

@@ -115,6 +115,9 @@ class TestConfigErrors:
          ["experiment input", "n_specific", "0"]),
         (["score", "--set", "dataset.kind=synthetic", "--set", "dataset.n_shared=0"],
          ["score input", "n_shared", "0"]),
+        # a forget label that no document carries
+        (["experiment", "--set", "dataset.kind=synthetic", "--set", "pipeline.p1_label=5"],
+         ["experiment input", "p1_label=5", "[0, 1]"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
@@ -398,6 +401,18 @@ class TestExperimentCommand:
         assert "half-target budget [knn-ratio]: undefined (no budget-0 cell)" in printed
         assert len(out.read_text().splitlines()) == 5
         assert run(args) == 1
+
+    def test_budget_zero_cells_without_a_value_are_reported(self, tmp_path, capsys):
+        # the lone forget document goes to train, so no cell has a recall_p1
+        out = tmp_path / "exp.csv"
+        args = self.COMMON + ["--set", "dataset.n_p1=1", "--set", "sweep.budgets=0,0.5",
+                              "--out", str(out)]
+        with pytest.warns(UserWarning, match="stratum"):
+            assert run(args) == 0
+        printed = capsys.readouterr().out
+        assert "(0 failed)" in printed
+        for rule in ("random", "lr-cos"):
+            assert f"half-target budget [{rule}]: undefined (no budget-0 value)" in printed
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -5,13 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import log_softmax
 
 from distunlearn import rng as rnglib
 from distunlearn.data_io import LabeledDataset, TfidfConfig, TfidfVectorizer
 from distunlearn.downstream import (
+    ClassifierModel,
     FiniteJoint,
+    Metrics,
+    TrainingMeta,
     evaluate,
     logloss_decomposition,
     predict_proba,
@@ -22,6 +27,46 @@ from distunlearn.synthetic import two_cluster_corpus
 
 def random_joint(gen, n_x, n_y):
     return FiniteJoint.random(n_x, n_y, gen)
+
+
+def reference_excess_loss(q, p):
+    """Excess log-loss by loops over the grid: the expected loss under q of
+    p's Bayes predictor, minus q's expected conditional label entropy."""
+    qx, px = q.marginal_x(), p.marginal_x()
+    loss = 0.0
+    for x in range(q.n_x):
+        if qx[x] == 0:
+            continue
+        if px[x] == 0:
+            return math.inf
+        cond_p = p.probs[x] / px[x]
+        for y in range(q.n_y):
+            if q.probs[x, y] == 0:
+                continue
+            if cond_p[y] == 0:
+                return math.inf
+            loss -= q.probs[x, y] * math.log(cond_p[y])
+    entropy = 0.0
+    for x in range(q.n_x):
+        if qx[x] == 0:
+            continue
+        cond = q.probs[x] / qx[x]
+        nz = cond > 0
+        entropy -= qx[x] * float(np.sum(cond[nz] * np.log(cond[nz])))
+    return loss - entropy
+
+
+@st.composite
+def joint_pairs(draw):
+    """Two joints on one grid whose cells are often exactly zero."""
+    n_x, n_y = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    joints = []
+    for _ in range(2):
+        raw = np.array(draw(st.lists(cell, min_size=n_x * n_y, max_size=n_x * n_y)))
+        raw[draw(st.integers(0, raw.size - 1))] += 1.0  # some mass somewhere
+        joints.append(FiniteJoint(raw.reshape(n_x, n_y) / raw.sum()))
+    return joints
 
 
 class TestFiniteJoint:
@@ -82,6 +127,18 @@ class TestLoglossDecomposition:
         assert not d.finite
         assert d.joint_kl == d.marginal_kl == d.excess_loss == math.inf
         assert math.isnan(d.identity_gap)
+
+    @given(joint_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_grid_loops(self, joints):
+        q, p = joints
+        d = logloss_decomposition(q, p)
+        expected = reference_excess_loss(q, p)
+        assert d.finite is math.isfinite(expected)
+        if d.finite:
+            assert abs(d.excess_loss - expected) <= 1e-12
+        else:
+            assert d.excess_loss == expected == d.joint_kl == math.inf
 
     def test_shape_mismatch_rejected(self):
         q = FiniteJoint(np.full((2, 2), 0.25))
@@ -198,11 +255,14 @@ class TestTrainLogistic:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("start, iterations, converged", [
         (-30.0, 6, True),  # the first steps are found by halving
-        (-40.0, 0, False),  # 40 halvings still overshoot: the search gives up
-        # Beyond about -745 the curvature is subnormal or zero, so each step
-        # is steepest descent, which crawls to w = -709 without converging.
-        (-745.0, 72, False),
-        (-800.0, 182, False),
+        # The Newton step is about 1e17 here: the search halves it until the
+        # objective falls, however many halvings that takes.
+        (-40.0, 5, True),
+        (-100.0, 7, True),
+        # Beyond about -745 the curvature is subnormal or zero, so the first
+        # steps are steepest descent, and it takes many of them.
+        (-745.0, 80, True),
+        (-800.0, 190, True),
     ])
     def test_line_search_from_a_saturated_wrong_sign_start(self, start, iterations,
                                                            converged):
@@ -365,7 +425,61 @@ class TestWarmStart:
             train_logistic(relabeled, 0.1, init=model)
 
 
+def reference_evaluate(model, test, positive_label=1):
+    """Evaluation by a boolean mask per class and slice."""
+    proba = predict_proba(model, test.features)
+    preds = model.classes[np.argmax(proba, axis=1)]
+    p1_mask, p2_mask = test.group == "P1", test.group == "P2"
+    recall_p1 = None
+    pos_mask = p1_mask & (test.labels == positive_label)
+    if pos_mask.any():
+        recall_p1 = float(np.mean(preds[pos_mask] == positive_label))
+    macro_f1 = None
+    if p2_mask.any():
+        true2, pred2 = test.labels[p2_mask], preds[p2_mask]
+        f1s = []
+        for c in np.unique(true2):
+            tp = int(np.sum((pred2 == c) & (true2 == c)))
+            fp = int(np.sum((pred2 == c) & (true2 != c)))
+            fn = int(np.sum((pred2 != c) & (true2 == c)))
+            precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+            recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+            f1s.append(0.0 if precision + recall == 0.0
+                       else 2.0 * precision * recall / (precision + recall))
+        macro_f1 = float(np.mean(f1s))
+    per_class = {int(c): float(np.mean(preds[test.labels == c] == c))
+                 for c in np.unique(test.labels)}
+    own = np.sum(proba * (test.labels[:, None] == model.classes), axis=1)
+    with np.errstate(divide="ignore"):
+        logloss = float(np.mean(-np.log(own)))
+    return Metrics(recall_p1, macro_f1, per_class, logloss)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A 2- or 3-class linear model and a tagged test set whose labels may
+    include classes the model never saw and miss classes it has."""
+    classes = np.array(sorted(draw(st.sets(st.integers(0, 4), min_size=2, max_size=3))))
+    n = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    group = draw(st.lists(st.sampled_from(["P1", "P2"]), min_size=n, max_size=n))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = 1 if classes.size == 2 else classes.size
+    model = ClassifierModel(weights=gen.normal(size=(rows, 3)), bias=gen.normal(size=rows),
+                            classes=classes, training_meta=TrainingMeta(0, True, 0.0, ()))
+    test = LabeledDataset(features=gen.normal(size=(n, 3)), labels=labels, group=group,
+                          row_ids=np.arange(n).astype(str))
+    return model, test, draw(st.integers(0, 4))
+
+
 class TestEvaluate:
+    @given(evaluation_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_class_loops(self, case):
+        model, test, positive_label = case
+        assert evaluate(model, test, positive_label) == reference_evaluate(
+            model, test, positive_label)
+
     def test_perfect_predictions(self):
         ds = two_class_dataset(n=40, d=4, seed=6, separation=8.0)
         model = train_logistic(ds, 1e-4, max_iter=4000, tol=1e-10)

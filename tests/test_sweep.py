@@ -335,6 +335,17 @@ class TestRunDatasetSweep:
             with pytest.raises(ValueError, match="validation split is empty"):
                 run_dataset_sweep(source, PipelineConfig(), config)
 
+    def test_source_without_forget_rows_rejected(self):
+        config = SweepConfig(rules=("random",), budget_fractions=(0.0,), seeds=(0,))
+        corpus = two_cluster_corpus(n_p1=30, n_p2=120, seed=7)
+        with pytest.raises(ValueError, match=r"p1_label=5 matches no document; "
+                                             r"the corpus has labels \[0, 1\]"):
+            run_dataset_sweep(corpus, PipelineConfig(p1_label=5), config)
+        ds = feature_dataset_with_mixed_labels()
+        preserve_only = ds.subset(ds.p2_positions())
+        with pytest.raises(ValueError, match="no P1"):
+            run_dataset_sweep(preserve_only, PipelineConfig(), config)
+
     def test_deterministic_rerun(self):
         corpus = two_cluster_corpus(n_p1=30, n_p2=120, seed=7)
         config = SweepConfig(rules=("random", "lr-cos"),
@@ -363,6 +374,11 @@ class TestBudgetAnalysis:
     def test_missing_budget_zero_rejected(self):
         result = fabricated_result({0.5: 1.0, 1.0: 0.2})
         with pytest.raises(ValueError, match="budget-0"):
+            half_target_budget(result, "r", "m")
+
+    def test_missing_budget_zero_names_the_metric(self):
+        result = fabricated_result({0.0: None, 0.5: 1.0})
+        with pytest.raises(ValueError, match="no budget-0 value of 'm' for rule 'r'"):
             half_target_budget(result, "r", "m")
 
     def test_budget_to_reach_up_direction(self):
