@@ -22,7 +22,7 @@ _EXPORTS = {
     "data_io": ("LabeledDataset", "TextCorpus", "TfidfConfig", "TfidfVectorizer",
                 "downsample_p2", "load_features_csv", "load_text_tsv", "read_schema_file",
                 "split_stratified", "write_text_tsv"),
-    "downstream": ("ClassifierModel", "FiniteJoint", "Metrics", "evaluate",
+    "downstream": ("ClassifierModel", "FiniteJoint", "evaluate",
                    "logloss_decomposition", "predict_proba", "train_logistic"),
     "frontier": ("ExpFamilySpec", "TradeoffPoint", "bernoulli_family", "frontier_expfamily",
                  "frontier_gaussian", "gaussian_family"),

@@ -25,8 +25,6 @@ import configparser
 import contextlib
 import sys
 
-import numpy as np
-
 from .bounds import bound_random, bound_selective, budget_random, budget_selective
 from .frontier import bernoulli_family, frontier_expfamily, frontier_gaussian
 from .writer import FORMATS, write_rows
@@ -195,10 +193,9 @@ def _print_half_targets(result, rules, metric: str) -> None:
     from .sweep import half_target_budget
 
     initial = {rule for rule, budget in result.aggregate(metric) if budget == 0.0}
-    ran = {row.rule for row in result.rows if row.budget_fraction == 0.0 and not row.failed}
     for rule in rules:
-        if rule not in initial:  # no budget-0 cell ran, or none holds a value
-            text = f"undefined (no budget-0 {'value' if rule in ran else 'cell'})"
+        if rule not in initial:  # every budget-0 cell of the rule failed
+            text = "undefined (no budget-0 cell)"
         else:
             half = half_target_budget(result, rule, metric)
             text = "not reached" if half is None else f"{half:.4f}"
@@ -323,15 +320,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    from .data_io import TfidfVectorizer
+    from .data_io import P1, TfidfVectorizer, forget_tags
     from .mechanisms import ScoringParams, score_features
 
     cfg = _load_config(args)
     source = _load_dataset(cfg)
     rule = cfg["score"]["rule"]
     if hasattr(source, "texts"):
+        is_p1 = forget_tags(source, cfg["pipeline"]["p1_label"])[1] == P1
         matrix = TfidfVectorizer(_tfidf_config(cfg)).fit_transform(source.texts)
-        is_p1 = np.asarray(source.labels) == cfg["pipeline"]["p1_label"]
         p1_rows, p2_rows = matrix[is_p1], matrix[~is_p1]
     else:
         p1_rows = source.features[source.p1_positions()]

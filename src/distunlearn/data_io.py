@@ -43,6 +43,7 @@ __all__ = [
     "TfidfConfig",
     "TfidfVectorizer",
     "TextCorpus",
+    "forget_tags",
     "load_features_csv",
     "read_schema_file",
     "load_text_tsv",
@@ -83,7 +84,7 @@ class LabeledDataset:
         for name, arr in (("labels", labels), ("group", group), ("row_ids", row_ids)):
             if arr.shape[0] != n:
                 raise ValueError(f"{name} length {arr.shape[0]} != row count {n}")
-        bad = set(np.unique(group)) - {P1, P2}
+        bad = set(np.unique(group).tolist()) - {P1, P2}
         if bad:
             raise ValueError(f"unknown group tags: {sorted(bad)}")
         if labels.min() < 0:
@@ -149,6 +150,21 @@ class TextCorpus:
             raise ValueError("ids, labels, texts must have equal length")
         if len(self.ids) == 0:
             raise ValueError("corpus is empty")
+
+
+def forget_tags(source: TextCorpus | LabeledDataset, p1_label: int,
+                min_rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and group tags of a source's rows; a text corpus's forget (P1)
+    rows are those labelled ``p1_label``.  Fewer than ``min_rows`` P1 rows
+    labelled ``p1_label`` raise a ValueError naming the labels present."""
+    labels = np.asarray(source.labels, dtype=int)
+    group = (source.group if isinstance(source, LabeledDataset)
+             else np.where(labels == p1_label, P1, P2))
+    n = np.count_nonzero((group == P1) & (labels == p1_label))
+    if n < min_rows:
+        raise ValueError(f"{n} forget row(s) carry pipeline.p1_label={p1_label}, need at least "
+                         f"{min_rows}; the labels present are {np.unique(labels).tolist()}")
+    return labels, group
 
 
 def _tokens(text: str, config: TfidfConfig) -> list[str]:

@@ -22,9 +22,10 @@ no longer moves the weights.  Training works on Hessian-vector products, so
 memory stays linear in the nonzeros and the feature count.  No stochasticity
 enters anywhere, so retraining is bit-reproducible.
 
-``evaluate`` reads every count-based metric (forget-slice recall,
-preserve-slice macro F1, per-class accuracy) from one table of (slice, true
-label, predicted label) counts.
+``evaluate`` returns the mapping of metric names to values that a sweep
+cell records (``recall_p1``, ``macro_f1_p2``, ``logloss`` and one
+``acc_class_<label>`` per label), reading every count-based metric from one
+table of (slice, true label, predicted label) counts.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "DecompositionResult",
     "ClassifierModel",
     "TrainingMeta",
-    "Metrics",
     "logloss_decomposition",
     "train_logistic",
     "predict_proba",
@@ -344,24 +344,16 @@ def predict_proba(model: ClassifierModel, features) -> np.ndarray:
     return softmax(logits, axis=1)
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Evaluation summary; slice-dependent metrics are None when undefined."""
-
-    recall_p1: float | None
-    macro_f1_p2: float | None
-    accuracy_per_class: dict[int, float]
-    logloss: float
-
-
 def evaluate(model: ClassifierModel, test: LabeledDataset,
-             positive_label: int = 1) -> Metrics:
-    """Compute the sweep metrics on a tagged test set.
+             positive_label: int = 1) -> dict[str, float | None]:
+    """The sweep metrics on a tagged test set, as the mapping a sweep cell
+    records.
 
     ``recall_p1`` is the true-positive rate for ``positive_label`` within
-    the forget-tagged slice; ``macro_f1_p2`` averages per-class F1 over the
-    classes present in the preserve slice; per-class accuracy covers the
-    whole test set.
+    the forget-tagged slice and ``macro_f1_p2`` averages per-class F1 over
+    the classes present in the preserve slice; each is None when its slice
+    has no such row.  ``logloss`` is the mean log-loss over the whole test
+    set, and ``acc_class_<label>`` the accuracy on each label present in it.
     """
     proba = predict_proba(model, test.features)
     # One count table of (slice, true label, predicted label) over every
@@ -390,17 +382,14 @@ def evaluate(model: ClassifierModel, test: LabeledDataset,
         f1 = np.divide(2.0 * precision * recall, total, out=np.zeros(k), where=total > 0)
         macro_f1 = float(np.mean(f1[actual > 0]))
 
-    whole = counts.sum(axis=0)
-    rows = whole.sum(axis=1)
-    per_class = {int(labels[c]): float(whole[c, c] / rows[c]) for c in np.flatnonzero(rows)}
-
     # Each row's probability of its own label; 0 for a class the model never saw.
     own = np.sum(proba * (test.labels[:, None] == model.classes), axis=1)
     with np.errstate(divide="ignore"):
         losses = -np.log(own)
-    return Metrics(
-        recall_p1=recall_p1,
-        macro_f1_p2=macro_f1,
-        accuracy_per_class=per_class,
-        logloss=float(np.mean(losses)),
-    )
+    metrics = {"recall_p1": recall_p1, "macro_f1_p2": macro_f1,
+               "logloss": float(np.mean(losses))}
+    whole = counts.sum(axis=0)
+    rows = whole.sum(axis=1)
+    for c in np.flatnonzero(rows):
+        metrics[f"acc_class_{int(labels[c])}"] = float(whole[c, c] / rows[c])
+    return metrics

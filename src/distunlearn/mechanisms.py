@@ -8,7 +8,8 @@ priority (most divergent from the preserve distribution goes first).
 
 Rules
 -----
-- ``norm``       : l2 length of the row
+- ``norm``       : l2 length of the row; rejects rows whose lengths all agree
+                   to within 1e-12 relative, such as l2-normalised TF-IDF rows
 - ``cos-mu2``    : cosine distance to the preserve-side mean
 - ``lr-cos``     : cosine distance to the preserve mean minus cosine distance
                    to the forget mean (likelihood-ratio flavored)
@@ -24,7 +25,8 @@ Rules
 here but a deletion order: one seeded permutation (``random_removal``).
 
 Ties between equal scores always break toward the lower row index, so plans
-are reproducible and top-f selections are nested in f.
+are reproducible and top-f selections are nested in f.  ``apply_plan`` is the
+one place a plan's indices are checked.
 """
 
 from __future__ import annotations
@@ -58,11 +60,11 @@ SCORE_DTYPE = np.dtype([("score", np.float64), ("zero_norm", np.bool_)], align=T
 
 @dataclass(frozen=True, eq=False)
 class RemovalPlan:
-    """Forget-partition row indices to delete, as a read-only int64 array;
-    the budget is their count.
+    """Forget-partition row indices to delete, as a read-only int64 copy of
+    any int sequence, unchecked until ``apply_plan``; the budget is their count.
 
-    Any int sequence is accepted and copied.  Every plan lists its rows in
-    deletion order, so a plan's first f rows are the plan for budget f.
+    Every plan lists its rows in deletion order, so a plan's first f rows are
+    the plan for budget f.
     """
 
     rule: str
@@ -72,20 +74,6 @@ class RemovalPlan:
         removed = np.array(self.removed_indices, dtype=np.int64)
         removed.setflags(write=False)
         object.__setattr__(self, "removed_indices", removed)
-        if removed.size == 0:
-            return
-        # Negatives are rejected first: they would wrap in the mask below.
-        if removed.min() < 0:
-            raise ValueError("removed_indices must be non-negative")
-        top = int(removed.max())
-        if top <= 64 * removed.size:  # the mask is at most 8x the plan's bytes
-            seen = np.zeros(top + 1, dtype=bool)
-            seen[removed] = True
-            distinct = np.count_nonzero(seen) == removed.size
-        else:
-            distinct = np.unique(removed).size == removed.size
-        if not distinct:
-            raise ValueError("removed_indices must be distinct")
 
 
 @dataclass(frozen=True)
@@ -130,13 +118,10 @@ def selective_removal_gaussian(samples_p1, samples_p2, f: int) -> RemovalPlan:
     x2 = np.asarray(samples_p2, dtype=float)
     if x1.ndim != 1 or x2.ndim != 1:
         raise ValueError(f"samples must be 1-d, got shapes {x1.shape} and {x2.shape}")
-    f = int(f)
     if x2.size == 0:
         raise ValueError("samples_p2 is empty: preserve-side mean is undefined")
-    if not 0 <= f <= x1.size:
-        raise ValueError(f"budget f={f} must satisfy 0 <= f <= {x1.size}")
     scores = np.abs(x1 - x2.mean())
-    return RemovalPlan(rule="selective-gaussian", removed_indices=_priority_order(scores)[:f])
+    return RemovalPlan(rule="selective-gaussian", removed_indices=_top(scores, f))
 
 
 def _priority_order(scores: np.ndarray) -> np.ndarray:
@@ -154,15 +139,21 @@ def _priority_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+def _top(scores: np.ndarray, f: int) -> np.ndarray:
+    """The f highest-priority rows of ``scores``, in priority order."""
+    f = int(f)
+    if not 0 <= f <= scores.size:
+        raise ValueError(f"budget f={f} must satisfy 0 <= f <= {scores.size}")
+    return _priority_order(scores)[:f]
+
+
 def plan_from_scores(scored: np.recarray, rule: str, f: int) -> RemovalPlan:
     """Top-f plan from ``score_features`` records (score desc, row asc).
 
     The plan for budget f is the first f entries of the plan for any larger
     budget, so a sweep can rank once and slice.
     """
-    if not 0 <= f <= len(scored):
-        raise ValueError(f"budget f={f} must satisfy 0 <= f <= {len(scored)}")
-    return RemovalPlan(rule=rule, removed_indices=_priority_order(scored.score)[:f])
+    return RemovalPlan(rule=rule, removed_indices=_top(scored.score, f))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +353,10 @@ def score_features(features_p1, features_p2, rule: str,
 
     if not np.all(np.isfinite(scores)):
         raise ValueError(f"rule {rule!r} produced non-finite scores")
+    if rule == "norm" and np.ptp(scores) <= 1e-12 * scores.max():
+        raise ValueError("rule 'norm' cannot rank these rows: every forget row's l2 length "
+                         "agrees to within 1e-12 relative (as on l2-normalised rows), so "
+                         "its plans would follow rounding or row order")
     if flags.any():
         warnings.warn(
             f"{int(flags.sum())} zero-norm row(s) under cosine rule {rule!r} scored 0",
@@ -375,13 +370,17 @@ def apply_plan(dataset: LabeledDataset, plan: RemovalPlan) -> LabeledDataset:
 
     Plan indices address rows WITHIN the forget (P1) partition; preserve-side
     rows, labels, and provenance are untouched and survivor order is kept.
+    A negative, out-of-range or repeated index raises ValueError.
     """
     p1_pos = dataset.p1_positions()
     removed = plan.removed_indices
+    if removed.size and removed.min() < 0:  # checked first: it would wrap below
+        raise ValueError("removed_indices must be non-negative")
     if removed.size and removed.max() >= p1_pos.size:
-        raise ValueError(
-            f"plan index out of range for a forget partition of {p1_pos.size} rows"
-        )
+        raise ValueError(f"plan index out of range for a forget partition of {p1_pos.size} rows")
     keep = np.ones(dataset.n, dtype=bool)
     keep[p1_pos[removed]] = False
-    return dataset.subset(np.flatnonzero(keep))
+    kept = np.flatnonzero(keep)
+    if kept.size != dataset.n - removed.size:  # a repeat clears its row once
+        raise ValueError("removed_indices must be distinct")
+    return dataset.subset(kept)

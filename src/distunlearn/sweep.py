@@ -49,12 +49,11 @@ import numpy as np
 from . import rng as rnglib
 from .data_io import (
     LabeledDataset,
-    P1,
-    P2,
     TextCorpus,
     TfidfConfig,
     TfidfVectorizer,
     downsample_p2,
+    forget_tags,
     split_row_positions,
     split_stratified,
 )
@@ -297,20 +296,16 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
     per sweep), scored, edited, downsampled, retrained, and evaluated on the
     untouched validation split.  Featurized datasets skip the TF-IDF step.
     A failing cell (for example a single-class training set at extreme
-    budgets) is recorded with its reason, never silently dropped; a source
-    without forget rows is rejected before any seed runs.
+    budgets) is recorded with its reason, never silently dropped.  A source
+    with fewer than 2 forget rows (group P1) labelled ``p1_label`` is
+    rejected before any seed runs: the split would keep them all in train,
+    and no cell could measure ``recall_p1``.
     """
     vec = TfidfVectorizer(pipeline.tfidf)
+    labels, group = forget_tags(source, pipeline.p1_label, min_rows=2)
     if isinstance(source, TextCorpus):
-        labels = np.asarray(source.labels, dtype=int)
-        group = np.where(labels == pipeline.p1_label, P1, P2)
-        if not np.any(group == P1):
-            raise ValueError(f"pipeline.p1_label={pipeline.p1_label} matches no document; "
-                             f"the corpus has labels {np.unique(labels).tolist()}")
         texts = np.asarray(source.texts, dtype=object)
         ids = np.asarray(source.ids, dtype=object)
-    elif source.p1_positions().size == 0:
-        raise ValueError("the dataset has no P1 (forget) rows")
 
     def prepare_seed(seed):
         split_seed = derive_seed(config.master_seed, "split", seed)
@@ -342,11 +337,8 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
         warm = model is not None and np.array_equal(model.classes, np.unique(reduced.labels))
         model = train_logistic(reduced, pipeline.l2_strength, max_iter=pipeline.max_iter,
                                tol=pipeline.tol, init=model if warm else None)
-        scores = evaluate(model, val, positive_label=pipeline.p1_label)
-        metrics = {"recall_p1": scores.recall_p1, "macro_f1_p2": scores.macro_f1_p2,
-                   "logloss": scores.logloss, "f": float(f)}
-        for cls, acc in scores.accuracy_per_class.items():
-            metrics[f"acc_class_{cls}"] = acc
+        metrics = evaluate(model, val, positive_label=pipeline.p1_label)
+        metrics["f"] = float(f)
         return metrics, model
 
     rows = _run_cells(config, "dataset", DATASET_RULES, prepare_seed, rank, measure)

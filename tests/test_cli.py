@@ -118,6 +118,11 @@ class TestConfigErrors:
         # a forget label that no document carries
         (["experiment", "--set", "dataset.kind=synthetic", "--set", "pipeline.p1_label=5"],
          ["experiment input", "p1_label=5", "[0, 1]"]),
+        (["score", "--set", "dataset.kind=synthetic", "--set", "pipeline.p1_label=5"],
+         ["score input", "p1_label=5", "[0, 1]"]),
+        # l2-normalised TF-IDF rows all have length 1 up to rounding
+        (["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=norm"],
+         ["score input", "'norm'", "1e-12"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
@@ -402,17 +407,16 @@ class TestExperimentCommand:
         assert len(out.read_text().splitlines()) == 5
         assert run(args) == 1
 
-    def test_budget_zero_cells_without_a_value_are_reported(self, tmp_path, capsys):
-        # the lone forget document goes to train, so no cell has a recall_p1
+    def test_budget_zero_cells_without_a_value_are_reported(self, tmp_path):
+        # the lone forget document would go to train, so no cell could have a
+        # recall_p1: the run exits 1 before any cell runs
         out = tmp_path / "exp.csv"
         args = self.COMMON + ["--set", "dataset.n_p1=1", "--set", "sweep.budgets=0,0.5",
                               "--out", str(out)]
-        with pytest.warns(UserWarning, match="stratum"):
-            assert run(args) == 0
-        printed = capsys.readouterr().out
-        assert "(0 failed)" in printed
-        for rule in ("random", "lr-cos"):
-            assert f"half-target budget [{rule}]: undefined (no budget-0 value)" in printed
+        with pytest.raises(SystemExit, match=r"^invalid experiment input: 1 forget row\(s\) "
+                                             r"carry pipeline.p1_label=1, need at least 2;"):
+            run(args)
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -483,6 +483,35 @@ class TestDownsampleP2:
             downsample_p2(ds, 0.0, seed=0)
 
 
+def dataset(features=np.eye(2), labels=(0, 1), group=("P1", "P2")):
+    return LabeledDataset(features=features, labels=labels, group=group, row_ids=["a", "b"])
+
+
+SCHEMA = {"label_col": "label", "group_col": "group"}
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda tmp: dataset(features=np.ones(2)), "features must be a 2-d matrix"),
+    (lambda tmp: dataset(group=("P1", "P3")), r"unknown group tags: \['P3'\]"),
+    (lambda tmp: dataset(labels=(0, -1)), "labels must be non-negative"),
+    (lambda tmp: TfidfConfig(max_features=0), "max_features must be >= 1"),
+    (lambda tmp: TfidfConfig(min_df=0), "min_df must be >= 1"),
+    (lambda tmp: TextCorpus(ids=("a", "b"), labels=(0,), texts=("x", "y")), "equal length"),
+    (lambda tmp: TextCorpus(ids=(), labels=(), texts=()), "corpus is empty"),
+    (lambda tmp: TfidfVectorizer(TfidfConfig()).fit([]), "corpus is empty"),
+    (lambda tmp: TfidfVectorizer(TfidfConfig()).transform(["x"]), "not fitted"),
+    (lambda tmp: load_features_csv(write_csv(tmp / "a.csv", "group,x\nP1,1\n"),
+                                   {"group_col": "group"}), "missing required key 'label_col'"),
+    (lambda tmp: load_features_csv(write_csv(tmp / "a.csv", ""), SCHEMA), "file is empty"),
+    (lambda tmp: load_features_csv(write_csv(tmp / "a.csv", "label,group\n1,P1\n"), SCHEMA),
+     "no feature columns"),
+    (lambda tmp: load_text_tsv(write_csv(tmp / "a.tsv", "")), "corpus is empty"),
+])
+def test_data_inputs_rejected(tmp_path, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path)
+
+
 class TestLabeledDataset:
     def test_requires_rows(self):
         with pytest.raises(ValueError, match="at least one row"):

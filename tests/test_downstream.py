@@ -15,7 +15,6 @@ from distunlearn.data_io import LabeledDataset, TfidfConfig, TfidfVectorizer
 from distunlearn.downstream import (
     ClassifierModel,
     FiniteJoint,
-    Metrics,
     TrainingMeta,
     evaluate,
     logloss_decomposition,
@@ -447,12 +446,12 @@ def reference_evaluate(model, test, positive_label=1):
             f1s.append(0.0 if precision + recall == 0.0
                        else 2.0 * precision * recall / (precision + recall))
         macro_f1 = float(np.mean(f1s))
-    per_class = {int(c): float(np.mean(preds[test.labels == c] == c))
+    per_class = {f"acc_class_{int(c)}": float(np.mean(preds[test.labels == c] == c))
                  for c in np.unique(test.labels)}
     own = np.sum(proba * (test.labels[:, None] == model.classes), axis=1)
     with np.errstate(divide="ignore"):
         logloss = float(np.mean(-np.log(own)))
-    return Metrics(recall_p1, macro_f1, per_class, logloss)
+    return {"recall_p1": recall_p1, "macro_f1_p2": macro_f1, "logloss": logloss, **per_class}
 
 
 @st.composite
@@ -484,8 +483,8 @@ class TestEvaluate:
         ds = two_class_dataset(n=40, d=4, seed=6, separation=8.0)
         model = train_logistic(ds, 1e-4, max_iter=4000, tol=1e-10)
         metrics = evaluate(model, ds)
-        assert metrics.recall_p1 == 1.0
-        assert metrics.macro_f1_p2 == 1.0
+        assert metrics["recall_p1"] == 1.0
+        assert metrics["macro_f1_p2"] == 1.0
 
     def test_all_one_class_macro_f1(self):
         # balanced 2-class preserve slice, constant predictor:
@@ -501,7 +500,7 @@ class TestEvaluate:
         preds = model.classes[np.argmax(predict_proba(model, ds.features), axis=1)]
         assert list(preds[:4]) == [1, 1, 1, 1]  # constant on the preserve slice
         metrics = evaluate(model, ds)
-        assert metrics.macro_f1_p2 == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert metrics["macro_f1_p2"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_against_independent_confusion_matrix(self):
         gen = np.random.default_rng(7)
@@ -514,7 +513,7 @@ class TestEvaluate:
         p2 = ds.group == "P2"
         mask = p1 & (ds.labels == 1)
         recall_oracle = np.sum((preds == 1) & mask) / np.sum(mask)
-        assert metrics.recall_p1 == pytest.approx(recall_oracle, abs=1e-15)
+        assert metrics["recall_p1"] == pytest.approx(recall_oracle, abs=1e-15)
 
         f1s = []
         for c in np.unique(ds.labels[p2]):
@@ -524,11 +523,12 @@ class TestEvaluate:
             prec = tp / (tp + fp) if tp + fp else 0.0
             rec = tp / (tp + fn) if tp + fn else 0.0
             f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
-        assert metrics.macro_f1_p2 == pytest.approx(np.mean(f1s), abs=1e-15)
+        assert metrics["macro_f1_p2"] == pytest.approx(np.mean(f1s), abs=1e-15)
 
-        for c, acc in metrics.accuracy_per_class.items():
+        for c in np.unique(ds.labels):
             mask_c = ds.labels == c
-            assert acc == pytest.approx(np.mean(preds[mask_c] == c), abs=1e-15)
+            assert metrics[f"acc_class_{c}"] == pytest.approx(np.mean(preds[mask_c] == c),
+                                                             abs=1e-15)
 
     def test_empty_slices_are_none(self):
         feats = np.array([[1.0], [-1.0]])
@@ -536,11 +536,11 @@ class TestEvaluate:
                                    group=["P2", "P2"], row_ids=["a", "b"])
         model = train_logistic(ds_all_p2, 1e-3, max_iter=500, tol=1e-8)
         metrics = evaluate(model, ds_all_p2)
-        assert metrics.recall_p1 is None
+        assert metrics["recall_p1"] is None
         ds_all_p1 = LabeledDataset(features=feats, labels=[1, 0],
                                    group=["P1", "P1"], row_ids=["a", "b"])
         metrics = evaluate(model, ds_all_p1)
-        assert metrics.macro_f1_p2 is None
+        assert metrics["macro_f1_p2"] is None
 
     def test_logloss_matches_per_row_reference(self):
         train = two_class_dataset(n=40, d=2, seed=12, separation=1.0)
@@ -563,14 +563,14 @@ class TestEvaluate:
             return float(np.mean(losses))
 
         assert proba[-1, 1] == 0.0
-        assert math.isinf(evaluate(model, test).logloss)
+        assert math.isinf(evaluate(model, test)["logloss"])
         finite = test.subset(np.arange(8))
-        assert evaluate(model, finite).logloss == pytest.approx(reference(labels[:8]),
+        assert evaluate(model, finite)["logloss"] == pytest.approx(reference(labels[:8]),
                                                                 rel=1e-14)
         unseen = LabeledDataset(features=feats[:8], labels=np.where(labels[:8] == 1, 2, 0),
                                 group=group[:8], row_ids=np.arange(8).astype(str))
         assert math.isinf(reference(unseen.labels))
-        assert math.isinf(evaluate(model, unseen).logloss)
+        assert math.isinf(evaluate(model, unseen)["logloss"])
 
     def test_pure_function_of_inputs(self):
         ds = two_class_dataset(n=30, seed=9)

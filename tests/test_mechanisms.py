@@ -32,20 +32,6 @@ def make_dataset(n1=4, n2=6, d=3, seed=0):
 
 
 class TestRemovalPlan:
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ValueError, match="distinct"):
-            RemovalPlan(rule="random", removed_indices=(1, 1))
-
-    @pytest.mark.parametrize("container", [tuple, np.array])
-    @pytest.mark.parametrize("indices, match", [
-        ((1, 1), "distinct"),
-        ((2**40, 2**40), "distinct"),
-        ((0, -1), "non-negative"),
-    ])
-    def test_errors_for_tuple_and_array(self, container, indices, match):
-        with pytest.raises(ValueError, match=match):
-            RemovalPlan(rule="random", removed_indices=container(indices))
-
     def test_far_out_distinct_indices_accepted(self):
         plan = RemovalPlan(rule="random", removed_indices=(2**40, 0))
         assert plan.removed_indices.tolist() == [2**40, 0]
@@ -58,6 +44,28 @@ class TestRemovalPlan:
         assert plan.removed_indices.tolist() == [4, 2, 7]
         with pytest.raises(ValueError, match="read-only"):
             plan.removed_indices[0] = 1
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: random_removal(-1, 0, seed=0), "n1 must be >= 0"),
+    (lambda: selective_removal_gaussian([1.0, 2.0], [0.0], -1), "f=-1 must satisfy 0 <= f <= 2"),
+    (lambda: plan_from_scores(score_features(np.diag([1.0, 2.0, 3.0]), None, "norm"), "norm", 4),
+     "f=4 must satisfy 0 <= f <= 3"),
+    (lambda: score_features(np.ones((2, 2, 2)), None, "norm"), "must be 2-d"),
+    (lambda: score_features(np.eye(2), np.ones((1, 2)), "maha-mu2"),
+     "at least 2 preserve-side rows"),
+    (lambda: score_features(np.empty((0, 2)), np.eye(2), "cos-mu2"), "features_p1 has no rows"),
+    (lambda: score_features(np.eye(2), np.ones((2, 3)), "cos-mu2"), "dimension mismatch"),
+    (lambda: score_features(np.eye(3), np.eye(3), "knn-ratio", ScoringParams(k=1, sigma=0.0)),
+     "sigma must be positive"),
+    (lambda: score_features(np.tile([1.0, 0.0], (3, 1)), np.tile([1.0, 0.0], (3, 1)),
+                            "knn-ratio", ScoringParams(k=1)), "median pairwise distance is 0"),
+    (lambda: score_features(np.array([[np.nan, 0.0], [1.0, 0.0]]), None, "norm"),
+     "non-finite scores"),
+])
+def test_mechanism_inputs_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestRandomRemoval:
@@ -161,6 +169,19 @@ class TestScoreFeatures:
         rows = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
         scored = score_features(rows, np.zeros((1, 2)), "norm")
         assert [s.score for s in scored] == [5.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[3.0, 4.0], [0.0, 5.0], [5.0, 0.0]]),  # equal lengths: plans in row order
+        np.array([[0.6, 0.8], [1.0, 2.0 ** -52], [0.0, 1.0]]),  # lengths 1 up to rounding
+        np.zeros((2, 2)),
+    ])
+    def test_norm_rejects_rows_of_one_length(self, rows):
+        with pytest.raises(ValueError, match="rule 'norm' cannot rank these rows"):
+            score_features(rows, None, "norm")
+
+    def test_norm_ranks_lengths_apart_by_more_than_rounding(self):
+        scored = score_features(np.array([[1.0], [1.0 + 1e-11]]), None, "norm")
+        assert plan_from_scores(scored, "norm", 1).removed_indices.tolist() == [1]
 
     def test_norm_aliases(self):
         # Each rule has one name; the former aliases of norm are unknown rules.
@@ -487,4 +508,17 @@ class TestApplyPlan:
         ds = make_dataset(n1=3)
         plan = RemovalPlan(rule="random", removed_indices=(3,))
         with pytest.raises(ValueError, match="out of range"):
+            apply_plan(ds, plan)
+
+    @pytest.mark.parametrize("container", [tuple, np.array])
+    @pytest.mark.parametrize("indices, match", [
+        ((1, 1), "distinct"),
+        ((2, 0, 2), "distinct"),
+        ((0, -1), "non-negative"),
+        ((2**40, 0), "out of range"),
+    ])
+    def test_errors_for_tuple_and_array(self, container, indices, match):
+        ds = make_dataset(n1=3)
+        plan = RemovalPlan(rule="random", removed_indices=container(indices))
+        with pytest.raises(ValueError, match=match):
             apply_plan(ds, plan)

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from distunlearn import rng as rnglib
 from distunlearn import sweep
-from distunlearn.data_io import LabeledDataset, TextCorpus, TfidfConfig
+from distunlearn.data_io import (
+    LabeledDataset,
+    TextCorpus,
+    TfidfConfig,
+    forget_tags,
+    split_row_positions,
+    split_stratified,
+)
 from distunlearn.gaussian import GaussianModel, kl_gaussian, pooled_mle
 from distunlearn.mechanisms import ScoringParams, random_removal, selective_removal_gaussian
 from distunlearn.sweep import (
@@ -214,7 +221,7 @@ def feature_dataset_with_mixed_labels(n1=30, n2=90, seed=0):
 class TestRunDatasetSweep:
     def test_zero_budget_identical_across_rules(self):
         corpus = two_cluster_corpus(n_p1=40, n_p2=160, seed=3)
-        config = SweepConfig(rules=("random", "cos-mu2", "norm"),
+        config = SweepConfig(rules=("random", "cos-mu2", "lr-cos"),
                              budget_fractions=(0.0,), seeds=(0, 1), master_seed=1)
         pipeline = PipelineConfig(tfidf=TfidfConfig(max_features=500, ngram_max=1),
                                   l2_strength=1e-3, max_iter=150)
@@ -330,20 +337,28 @@ class TestRunDatasetSweep:
     ])
     def test_two_row_source_names_the_empty_validation_split(self, source):
         # every stratum has one row, so every row goes to train
-        config = SweepConfig(rules=("random",), budget_fractions=(0.0,), seeds=(0,))
         with pytest.warns(UserWarning, match="stratum"):
             with pytest.raises(ValueError, match="validation split is empty"):
-                run_dataset_sweep(source, PipelineConfig(), config)
+                if isinstance(source, TextCorpus):
+                    labels, group = forget_tags(source, 1)
+                    split_row_positions(group, labels, 0.7, 0)
+                else:
+                    split_stratified(source, 0.7, 0)
 
     def test_source_without_forget_rows_rejected(self):
         config = SweepConfig(rules=("random",), budget_fractions=(0.0,), seeds=(0,))
         corpus = two_cluster_corpus(n_p1=30, n_p2=120, seed=7)
-        with pytest.raises(ValueError, match=r"p1_label=5 matches no document; "
-                                             r"the corpus has labels \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^0 forget row\(s\) carry pipeline.p1_label=5, "
+                                             r"need at least 2; the labels present are "
+                                             r"\[0, 1\]$"):
             run_dataset_sweep(corpus, PipelineConfig(p1_label=5), config)
+        # a lone forget document would go to train, leaving recall_p1 undefined
+        lone = two_cluster_corpus(n_p1=1, n_p2=120, seed=7)
+        with pytest.raises(ValueError, match=r"^1 forget row\(s\) carry pipeline.p1_label=1"):
+            run_dataset_sweep(lone, PipelineConfig(), config)
         ds = feature_dataset_with_mixed_labels()
         preserve_only = ds.subset(ds.p2_positions())
-        with pytest.raises(ValueError, match="no P1"):
+        with pytest.raises(ValueError, match=r"^0 forget row\(s\) carry pipeline.p1_label=1"):
             run_dataset_sweep(preserve_only, PipelineConfig(), config)
 
     def test_deterministic_rerun(self):
@@ -355,6 +370,21 @@ class TestRunDatasetSweep:
         a = run_dataset_sweep(corpus, pipeline, config)
         b = run_dataset_sweep(corpus, pipeline, config)
         assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: SweepConfig(rules=("random",), budget_fractions=(), seeds=(0,)),
+     "at least one budget fraction"),
+    (lambda: run_gaussian_sweep(float("inf"), 10, 10, small_gaussian_config()),
+     "mu2 must be finite"),
+    (lambda: budget_to_reach(fabricated_result({0.0: 1.0}), "r", "m", 0.5, "sideways"),
+     "direction must be 'down' or 'up'"),
+    (lambda: budget_to_reach(fabricated_result({0.0: 1.0}), "other", "m", 0.5),
+     "no cells for rule 'other' with metric 'm'"),
+])
+def test_sweep_inputs_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestBudgetAnalysis:
