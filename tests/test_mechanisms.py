@@ -32,6 +32,25 @@ def make_dataset(n1=4, n2=6, d=3, seed=0):
 
 
 class TestRemovalPlan:
+    # A plan is checked where it meets a dataset, in apply_plan.
+    def test_rejects_duplicate_indices(self):
+        plan = RemovalPlan(rule="random", removed_indices=(1, 1))
+        with pytest.raises(ValueError, match="distinct"):
+            apply_plan(make_dataset(), plan)
+
+    @pytest.mark.parametrize("container", [tuple, np.array])
+    @pytest.mark.parametrize("indices, match", [
+        ((1, 1), "distinct"),
+        ((2, 0, 2), "distinct"),
+        ((0, -1), "non-negative"),
+        ((2**40, 0), "out of range"),
+    ])
+    def test_errors_for_tuple_and_array(self, container, indices, match):
+        ds = make_dataset(n1=3)
+        plan = RemovalPlan(rule="random", removed_indices=container(indices))
+        with pytest.raises(ValueError, match=match):
+            apply_plan(ds, plan)
+
     def test_far_out_distinct_indices_accepted(self):
         plan = RemovalPlan(rule="random", removed_indices=(2**40, 0))
         assert plan.removed_indices.tolist() == [2**40, 0]
@@ -508,17 +527,4 @@ class TestApplyPlan:
         ds = make_dataset(n1=3)
         plan = RemovalPlan(rule="random", removed_indices=(3,))
         with pytest.raises(ValueError, match="out of range"):
-            apply_plan(ds, plan)
-
-    @pytest.mark.parametrize("container", [tuple, np.array])
-    @pytest.mark.parametrize("indices, match", [
-        ((1, 1), "distinct"),
-        ((2, 0, 2), "distinct"),
-        ((0, -1), "non-negative"),
-        ((2**40, 0), "out of range"),
-    ])
-    def test_errors_for_tuple_and_array(self, container, indices, match):
-        ds = make_dataset(n1=3)
-        plan = RemovalPlan(rule="random", removed_indices=container(indices))
-        with pytest.raises(ValueError, match=match):
             apply_plan(ds, plan)
