@@ -15,7 +15,9 @@ grouped into sections, with the keys that ``KEYS`` declares; values are
 literal, with no ``%`` interpolation) and accepts
 repeated ``--set section.key=value`` overrides and ``--out``.  The sweeps also
 take ``--seed`` (the master seed) and ``--allow-partial``: without it, a
-sweep with a failed cell exits 1.
+sweep with a failed cell exits 1.  Both end in one summary: the cells written
+and failed, each rule's half-target budget and each later rule's saving
+against the first.
 """
 
 from __future__ import annotations
@@ -188,18 +190,31 @@ def _tfidf_config(cfg):
         return TfidfConfig(**cfg["tfidf"])
 
 
-def _print_half_targets(result, rules, metric: str) -> None:
-    """One line per rule: the budget at which ``metric`` halves, if any."""
-    from .sweep import half_target_budget
+def _finish_sweep(result, sweep_cfg, cfg, args, metric: str | None) -> int:
+    """Write a sweep's cells, print its summary and return its exit code; the
+    half-target and saving lines need ``metric`` and a grid with budget 0."""
+    from .sweep import emit, half_target_budget, saving
 
-    initial = {rule for rule, budget in result.aggregate(metric) if budget == 0.0}
-    for rule in rules:
-        if rule not in initial:  # every budget-0 cell of the rule failed
-            text = "undefined (no budget-0 cell)"
-        else:
-            half = half_target_budget(result, rule, metric)
-            text = "not reached" if half is None else f"{half:.4f}"
-        print(f"half-target budget [{rule}]: {text}")
+    path, fmt = _output(cfg, args)
+    emit(result, fmt, path)
+    failed = result.n_failed()
+    print(f"wrote {len(result.rows)} cells to {path} ({failed} failed)")
+    if metric is not None and 0.0 in sweep_cfg.budget_fractions:
+        # half_target_budget raises for a rule with no budget-0 value
+        half = {rule: half_target_budget(result, rule, metric)
+                for rule, budget in result.aggregate(metric) if budget == 0.0}
+        for rule in sweep_cfg.rules:
+            if rule not in half:  # every budget-0 cell of the rule failed
+                text = "undefined (no budget-0 cell)"
+            else:
+                text = "not reached" if half[rule] is None else f"{half[rule]:.4f}"
+            print(f"half-target budget [{rule}]: {text}")
+        base = sweep_cfg.rules[0]
+        for rule in sweep_cfg.rules[1:]:
+            s = (saving(result, base, rule, metric)
+                 if None not in (half.get(base), half.get(rule)) else None)
+            print(f"saving [{rule} vs {base}]: {'undefined' if s is None else f'{s:.4f}'}")
+    return 1 if failed and not args.allow_partial else 0
 
 
 def _output(cfg, args):
@@ -302,21 +317,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .sweep import emit, run_gaussian_sweep, saving
+    from .sweep import run_gaussian_sweep
 
     cfg = _load_config(args)
     sweep_cfg = _sweep_config(cfg, args, ("random", "selective-gaussian"))
     result = run_gaussian_sweep(**cfg["gaussian"], config=sweep_cfg)
-    path, fmt = _output(cfg, args)
-    emit(result, fmt, path)
-    print(f"wrote {len(result.rows)} cells to {path}")
-    if 1.0 in sweep_cfg.budget_fractions and 0.0 in sweep_cfg.budget_fractions:
-        _print_half_targets(result, sweep_cfg.rules, "alpha_remaining")
-        base = sweep_cfg.rules[0]
-        for rule in sweep_cfg.rules[1:]:
-            s = saving(result, base, rule, "alpha_remaining")
-            print(f"saving [{rule} vs {base}]: {'undefined' if s is None else f'{s:.4f}'}")
-    return 1 if result.n_failed() and not args.allow_partial else 0
+    full = 1.0 in sweep_cfg.budget_fractions  # alpha_remaining needs full deletion
+    return _finish_sweep(result, sweep_cfg, cfg, args, "alpha_remaining" if full else None)
 
 
 def _cmd_score(args) -> int:
@@ -342,7 +349,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .sweep import PipelineConfig, emit, run_dataset_sweep
+    from .sweep import PipelineConfig, run_dataset_sweep
 
     cfg = _load_config(args)
     sweep_cfg = _sweep_config(cfg, args, ("random", "lr-cos"))
@@ -350,13 +357,7 @@ def _cmd_experiment(args) -> int:
         pipeline = PipelineConfig(tfidf=_tfidf_config(cfg), **cfg["pipeline"], **cfg["train"])
     source = _load_dataset(cfg)
     result = run_dataset_sweep(source, pipeline, sweep_cfg)
-    path, fmt = _output(cfg, args)
-    emit(result, fmt, path)
-    failed = result.n_failed()
-    print(f"wrote {len(result.rows)} cells to {path} ({failed} failed)")
-    if 0.0 in sweep_cfg.budget_fractions:
-        _print_half_targets(result, sweep_cfg.rules, "recall_p1")
-    return 1 if failed and not args.allow_partial else 0
+    return _finish_sweep(result, sweep_cfg, cfg, args, "recall_p1")
 
 
 def main(argv=None) -> int:

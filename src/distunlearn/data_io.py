@@ -403,10 +403,6 @@ def write_text_tsv(corpus: TextCorpus, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _stratum_keys(group: np.ndarray, labels: np.ndarray):
-    return sorted({(str(g), int(l)) for g, l in zip(group, labels)})
-
-
 def split_row_positions(group, labels, train_fraction: float, seed: int):
     """Stratified train/validation row positions over (group, label) strata.
 
@@ -418,28 +414,27 @@ def split_row_positions(group, labels, train_fraction: float, seed: int):
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    group = np.asarray(group)
-    labels = np.asarray(labels)
-    train_pos: list[int] = []
-    val_pos: list[int] = []
-    for g, l in _stratum_keys(group, labels):
-        members = np.flatnonzero((group == g) & (labels == l))
+    pairs = np.rec.fromarrays([np.asarray(group), np.asarray(labels, dtype=int)])
+    strata, stratum = np.unique(pairs, return_inverse=True)
+    # A stable sort lists each stratum's rows together, in row order.
+    by_stratum = np.split(np.argsort(stratum, kind="stable"),
+                          np.cumsum(np.bincount(stratum))[:-1])
+    train = np.zeros(stratum.size, dtype=bool)
+    for (g, l), members in zip(strata.tolist(), by_stratum):
         if members.size < 2:
             warnings.warn(
                 f"stratum (group={g}, label={l}) has {members.size} row(s); assigned to train",
                 stacklevel=2,
             )
-            train_pos.extend(members.tolist())
+            train[members] = True
             continue
         gen = rnglib.generator(seed, "split", g, l)
-        perm = members[gen.permutation(members.size)]
         n_train = int(math.floor(train_fraction * members.size + 0.5))
         n_train = min(max(n_train, 1), members.size - 1)
-        train_pos.extend(perm[:n_train].tolist())
-        val_pos.extend(perm[n_train:].tolist())
-    if not val_pos:
+        train[members[gen.permutation(members.size)[:n_train]]] = True
+    if train.all():
         raise ValueError("validation split is empty; dataset too small for this fraction")
-    return np.array(sorted(train_pos), dtype=int), np.array(sorted(val_pos), dtype=int)
+    return np.flatnonzero(train), np.flatnonzero(~train)
 
 
 def split_stratified(dataset: LabeledDataset, train_fraction: float,
@@ -460,14 +455,13 @@ def downsample_p2(dataset: LabeledDataset, ratio: float, seed: int) -> LabeledDa
     """
     if ratio <= 0:
         raise ValueError("ratio must be positive")
-    p1_pos = dataset.p1_positions()
-    p2_pos = dataset.p2_positions()
-    if p1_pos.size == 0:
+    keep = dataset.group == P1
+    if not keep.any():
         return dataset
-    target = math.ceil(ratio * p1_pos.size)
+    target = math.ceil(ratio * np.count_nonzero(keep))
+    p2_pos = np.flatnonzero(~keep)
     if p2_pos.size <= target:
         return dataset
     gen = rnglib.generator(seed, "downsample-p2")
-    chosen = p2_pos[np.sort(gen.permutation(p2_pos.size)[:target])]
-    keep = np.sort(np.concatenate([p1_pos, chosen]))
-    return dataset.subset(keep)
+    keep[p2_pos[gen.permutation(p2_pos.size)[:target]]] = True
+    return dataset.subset(np.flatnonzero(keep))

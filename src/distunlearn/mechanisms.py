@@ -345,8 +345,11 @@ def score_features(features_p1, features_p2, rule: str,
                                  "rows for the knn-ratio bandwidth; need bandwidth_cap >= 2")
             pooled = sp.vstack([x1, x2]) if sp.issparse(x1) else np.vstack([_dense(x1), _dense(x2)])
             sigma = _median_pairwise_distance(pooled, params.bandwidth_cap)
-            if sigma == 0.0:
-                raise ValueError("degenerate pooled dataset: median pairwise distance is 0")
+            # The |a|^2 + |b|^2 - 2 a.b expansion leaves each term up to d * eps * |x|^2
+            # off, so a sigma^2 within four times that measures rounding, not spread.
+            if sigma**2 <= 4 * pooled.shape[1] * np.finfo(float).eps * _row_norms(pooled).max()**2:
+                raise ValueError(f"degenerate pooled dataset: median pairwise distance is 0 up "
+                                 f"to rounding (sigma^2 = {sigma**2:.3g} <= 4 d eps max |x|^2)")
         d1k = _kth_nearest(x1, x1, k, exclude_self=True)
         d2k = _kth_nearest(x1, x2, k)
         scores = np.exp((d2k - d1k) / sigma**2)

@@ -115,6 +115,10 @@ class TestConfigErrors:
          ["experiment input", "n_specific", "0"]),
         (["score", "--set", "dataset.kind=synthetic", "--set", "dataset.n_shared=0"],
          ["score input", "n_shared", "0"]),
+        (["score", "--set", "dataset.kind=synthetic", "--set", "dataset.n_p1=0"],
+         ["score input", "at least one document"]),
+        (["experiment", "--set", "dataset.kind=synthetic", "--set", "dataset.specific_frac=1"],
+         ["experiment input", "specific_frac must lie in (0, 1)"]),
         # a forget label that no document carries
         (["experiment", "--set", "dataset.kind=synthetic", "--set", "pipeline.p1_label=5"],
          ["experiment input", "p1_label=5", "[0, 1]"]),
@@ -338,6 +342,57 @@ class TestSimulateCommand:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSweepSummary:
+    """Both sweeps end in one summary: cells written and failed, each rule's
+    half-target budget, and each later rule's saving against the first."""
+
+    SIMULATE = ["simulate", "--set", "sweep.seeds=0,1", "--set", "gaussian.n1=100",
+                "--set", "gaussian.n2=100"]
+    EXPERIMENT = ["experiment", "--set", "dataset.kind=synthetic", "--set", "dataset.n_p1=30",
+                  "--set", "dataset.n_p2=120", "--set", "sweep.seeds=0",
+                  "--set", "tfidf.max_features=300", "--set", "tfidf.ngram_max=1",
+                  "--set", "train.max_iter=100", "--allow-partial"]
+
+    @pytest.mark.parametrize("argv, rules, cells, failed", [
+        (SIMULATE + ["--set", "sweep.budgets=0:1:0.25"], ["random", "selective-gaussian"],
+         20, 0),
+        (EXPERIMENT + ["--set", "sweep.budgets=0:0.9:0.15"], ["random", "lr-cos"], 14, 0),
+        # budget 1 leaves one class, so those cells fail and random never halves
+        (EXPERIMENT + ["--set", "sweep.budgets=0:1:0.25",
+                       "--set", "sweep.rules=random,lr-cos,cos-mu2"],
+         ["random", "lr-cos", "cos-mu2"], 15, 3),
+        # every knn-ratio cell fails, its budget-0 cell too
+        (EXPERIMENT + ["--set", "sweep.budgets=0,0.5", "--set", "sweep.rules=random,knn-ratio",
+                       "--set", "scoring.k=100000"], ["random", "knn-ratio"], 4, 2),
+    ])
+    def test_one_summary(self, tmp_path, capsys, argv, rules, cells, failed):
+        out = tmp_path / "sweep.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"wrote {cells} cells to {out} ({failed} failed)"
+        assert len(lines) == 2 * len(rules)
+        half = {}
+        for rule, line in zip(rules, lines[1:]):
+            prefix = f"half-target budget [{rule}]: "
+            assert line.startswith(prefix)
+            text = line[len(prefix):]
+            undefined = text in ("not reached", "undefined (no budget-0 cell)")
+            half[rule] = None if undefined else float(text)
+        for rule, line in zip(rules[1:], lines[1 + len(rules):]):
+            prefix = f"saving [{rule} vs {rules[0]}]: "
+            assert line.startswith(prefix)
+            if half[rule] is None or half[rules[0]] is None:
+                assert line == prefix + "undefined"
+            else:  # the printed budgets carry 4 decimals
+                assert float(line[len(prefix):]) == pytest.approx(
+                    1.0 - half[rule] / half[rules[0]], abs=1e-3)
+
+    def test_grid_without_full_deletion_prints_the_count_alone(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(self.SIMULATE + ["--set", "sweep.budgets=0,0.5", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote 8 cells to {out} (0 failed)"]
 
 
 class TestScoreCommand:

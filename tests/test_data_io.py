@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distunlearn import rng as rnglib
 from distunlearn.data_io import (
     LabeledDataset,
     TextCorpus,
@@ -481,6 +482,85 @@ class TestDownsampleP2:
         ds = toy_dataset({("P1", 1): 3, ("P2", 0): 5})
         with pytest.raises(ValueError):
             downsample_p2(ds, 0.0, seed=0)
+
+
+def reference_split_row_positions(group, labels, train_fraction, seed):
+    """The list-based split that split_row_positions replaced: strata from a
+    Python set, positions gathered in lists and sorted at the end."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie strictly between 0 and 1")
+    group = np.asarray(group)
+    labels = np.asarray(labels)
+    train_pos, val_pos = [], []
+    for g, l in sorted({(str(g), int(l)) for g, l in zip(group, labels)}):
+        members = np.flatnonzero((group == g) & (labels == l))
+        if members.size < 2:
+            warnings.warn(
+                f"stratum (group={g}, label={l}) has {members.size} row(s); assigned to train",
+                stacklevel=2,
+            )
+            train_pos.extend(members.tolist())
+            continue
+        gen = rnglib.generator(seed, "split", g, l)
+        perm = members[gen.permutation(members.size)]
+        n_train = int(math.floor(train_fraction * members.size + 0.5))
+        n_train = min(max(n_train, 1), members.size - 1)
+        train_pos.extend(perm[:n_train].tolist())
+        val_pos.extend(perm[n_train:].tolist())
+    if not val_pos:
+        raise ValueError("validation split is empty; dataset too small for this fraction")
+    return np.array(sorted(train_pos), dtype=int), np.array(sorted(val_pos), dtype=int)
+
+
+def reference_downsample_p2(dataset, ratio, seed):
+    """The downsampling that downsample_p2 replaced: the drawn preserve rows
+    sorted, joined to the forget rows and sorted again."""
+    if ratio <= 0:
+        raise ValueError("ratio must be positive")
+    p1_pos = dataset.p1_positions()
+    p2_pos = dataset.p2_positions()
+    if p1_pos.size == 0:
+        return dataset
+    target = math.ceil(ratio * p1_pos.size)
+    if p2_pos.size <= target:
+        return dataset
+    gen = rnglib.generator(seed, "downsample-p2")
+    chosen = p2_pos[np.sort(gen.permutation(p2_pos.size)[:target])]
+    return dataset.subset(np.sort(np.concatenate([p1_pos, chosen])))
+
+
+def split_outcome(split, group, labels, train_fraction, seed):
+    """The positions a split returns, or its error, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = split(group, labels, train_fraction, seed)
+        except ValueError as exc:
+            outcome = str(exc)
+    return outcome, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(["P1", "P2"]), st.integers(0, 2)),
+                     min_size=2, max_size=60),
+       train_fraction=st.floats(0.01, 0.99), ratio=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**63 - 1))
+def test_split_and_downsample_match_the_list_reference(rows, train_fraction, ratio, seed):
+    group = np.array([g for g, _ in rows])
+    labels = np.array([l for _, l in rows])
+    got, got_warnings = split_outcome(split_row_positions, group, labels, train_fraction, seed)
+    want, want_warnings = split_outcome(reference_split_row_positions, group, labels,
+                                        train_fraction, seed)
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    ds = LabeledDataset(features=np.zeros((len(rows), 1)), labels=labels, group=group,
+                        row_ids=np.arange(len(rows)).astype(str))
+    assert (downsample_p2(ds, ratio, seed).row_ids.tolist()
+            == reference_downsample_p2(ds, ratio, seed).row_ids.tolist())
 
 
 def dataset(features=np.eye(2), labels=(0, 1), group=("P1", "P2")):

@@ -319,6 +319,18 @@ class TestTrainLogistic:
         assert not model.training_meta.converged
         assert model.training_meta.iterations == 3
 
+    def test_line_search_gives_up_unconverged(self):
+        # A gradient norm of 0 is out of reach: once no halved step moves the
+        # weights, the fit stops before max_iter and says so.
+        ds = two_class_dataset(n=40, d=3, seed=0, separation=2.0)
+        meta = train_logistic(ds, 1e-3, max_iter=500, tol=0.0).training_meta
+        assert not meta.converged
+        assert 0 < meta.iterations < 500
+
+    def test_negative_l2_strength_rejected(self):
+        with pytest.raises(ValueError, match="l2_strength must be >= 0"):
+            train_logistic(two_class_dataset(), -1e-3)
+
     def test_text_sweep_cell_converges(self):
         # the bundled two-cluster corpus under the criterion-10 TF-IDF and
         # training settings

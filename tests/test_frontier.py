@@ -364,6 +364,42 @@ class TestExpFamilySolve:
         assert res.residual <= 1e-9 * res.point.alpha
 
 
+def spec_like(family, **callables):
+    """``family`` with some of its callables replaced."""
+    parts = {name: getattr(family, name)
+             for name in ("log_partition", "mean_map", "inverse_mean_map")}
+    return ExpFamilySpec(family.natural_param_theta1, family.natural_param_theta2,
+                         **{**parts, **callables})
+
+
+def _leave_family(mean):
+    raise ValueError("mean outside the family")
+
+
+@pytest.mark.parametrize("family, e1", [
+    # a target mean that is not finite
+    (bernoulli_family(0.3, 0.7), math.inf),
+    # a target mean of 0.5 in the family, at which the KL is not finite
+    (spec_like(bernoulli_family(0.3, 0.7), log_partition=lambda theta: math.inf), 0.3),
+])
+def test_h_is_infinite_off_the_family(family, e1):
+    # at lambda = 0.5 the target mean is 2 * e2 - e1
+    assert frontier._h_of_lambda(family, 0.5, np.array([e1]), np.array([0.4])) == (math.inf, None)
+
+
+@pytest.mark.parametrize("alpha, family, match", [
+    (-1.0, bernoulli_family(0.3, 0.7), "alpha must be finite and >= 0"),
+    (math.nan, bernoulli_family(0.3, 0.7), "alpha must be finite and >= 0"),
+    (math.inf, bernoulli_family(0.3, 0.7), "alpha must be finite and >= 0"),
+    # no target mean lies in the family, so H(lo) is +inf
+    (5.0, spec_like(bernoulli_family(0.3, 0.7), inverse_mean_map=_leave_family),
+     r"ill-conditioned family spec: H\(1e-09\) = inf is not below alpha = 5.0"),
+])
+def test_expfamily_inputs_rejected(alpha, family, match):
+    with pytest.raises(ValueError, match=match):
+        frontier_expfamily(family, alpha)
+
+
 class TestExpFamilySpec:
     def test_self_check_passes_for_valid_families(self):
         gaussian_family(0.0, 2.0, 1.0).self_check()

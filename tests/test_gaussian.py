@@ -48,6 +48,21 @@ class TestGaussianModel:
             GaussianModel(np.zeros(3), np.eye(2))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: GaussianModel(np.zeros((2, 2)), np.eye(2)), "scalar or 1-d vector"),
+    (lambda: GaussianModel(np.zeros(2), np.ones((2, 3))), "square matrix"),
+    (lambda: GaussianModel(np.zeros(1), [[math.inf]]), "covariance contains non-finite"),
+    (lambda: GaussianModel([math.nan], 1.0), "mean contains non-finite"),
+    (lambda: pooled_mle(np.zeros((2, 2, 2)), [], 1.0), r"shape \(n,\) or \(n, d\)"),
+    (lambda: pooled_mle([math.nan], [1.0], 1.0), "samples contain non-finite"),
+    (lambda: g_inverse(0.5, -1.0), "kappa must be finite and >= 0"),
+    (lambda: g_inverse(0.5, math.inf), "kappa must be finite and >= 0"),
+])
+def test_gaussian_inputs_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestKlGaussian:
     def test_reference_value(self):
         p = GaussianModel.univariate(0.0, 1.0)

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distunlearn import mechanisms
@@ -268,6 +268,24 @@ class TestScoreFeatures:
         a = score_features(p1, p2, "knn-ratio", ScoringParams(k=5))
         b = score_features(p1, p2, "knn-ratio", ScoringParams(k=5))
         assert np.array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.one_of(st.just(0.0), st.floats(1e-50, 1e50), st.floats(-1e50, -1e-50)),
+           dim=st.integers(1, 300), n1=st.integers(3, 12), n2=st.integers(2, 12),
+           sparse=st.booleans())
+    @example(value=1.0, dim=2, n1=5, n2=5, sparse=False)
+    @example(value=0.3, dim=3, n1=5, n2=5, sparse=False)
+    @example(value=0.1, dim=2, n1=5, n2=5, sparse=False)
+    @example(value=0.7, dim=2000, n1=6, n2=6, sparse=False)
+    @example(value=0.7, dim=2000, n1=6, n2=6, sparse=True)
+    def test_knn_ratio_rejects_every_pool_of_identical_rows(self, value, dim, n1, n2, sparse):
+        # Rounding in the distance expansion leaves identical rows a few
+        # d * eps * |x|^2 apart, which the bandwidth must not read as spread.
+        p1, p2 = np.full((n1, dim), value), np.full((n2, dim), value)
+        if sparse:
+            p1, p2 = sp.csr_matrix(p1), sp.csr_matrix(p2)
+        with pytest.raises(ValueError, match="degenerate pooled dataset"):
+            score_features(p1, p2, "knn-ratio", ScoringParams(k=2))
 
     def test_mahalanobis_matches_direct_computation(self):
         gen = np.random.default_rng(3)
