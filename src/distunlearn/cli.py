@@ -201,11 +201,14 @@ def _finish_sweep(result, sweep_cfg, cfg, args, metric: str | None) -> int:
     print(f"wrote {len(result.rows)} cells to {path} ({failed} failed)")
     if metric is not None and 0.0 in sweep_cfg.budget_fractions:
         # half_target_budget raises for a rule with no budget-0 value
+        agg = result.aggregate(metric)
         half = {rule: half_target_budget(result, rule, metric)
-                for rule, budget in result.aggregate(metric) if budget == 0.0}
+                for rule, budget in agg if budget == 0.0}
         for rule in sweep_cfg.rules:
             if rule not in half:  # every budget-0 cell of the rule failed
                 text = "undefined (no budget-0 cell)"
+            elif agg[(rule, 0.0)] <= 0.0:  # half of it is met before any deletion
+                text = f"undefined (initial value {agg[(rule, 0.0)]:g})"
             else:
                 text = "not reached" if half[rule] is None else f"{half[rule]:.4f}"
             print(f"half-target budget [{rule}]: {text}")

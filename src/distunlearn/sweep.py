@@ -9,10 +9,12 @@ Both sweeps run one loop over (seed, rule, budget) cells:
 3. per budget b, delete the first f = round(b * n1) ranked rows, so every
    budget's plan is a prefix of that one ranking, then refit and measure;
 4. each cell hands a carry to the next budget of its (seed, rule) chain:
-   the Gaussian sweep its forget samples gathered once in deletion order,
-   the dataset sweep its fit, which warm-starts the next fit when both
-   training sets have the same classes.  Every fit still iterates to
-   ``tol``, so each metric is that of an optimum to within ``tol``.
+   the Gaussian sweep the fixed-block sums of its forget samples in
+   deletion order (see :func:`run_gaussian_sweep`), so that a refit costs
+   one partial block sum; the dataset sweep its fit, which warm-starts the
+   next fit when both training sets have the same classes.  Every fit
+   still iterates to ``tol``, so each metric is that of an optimum to
+   within ``tol``.
 
 A ranking that raises ``ValueError`` fails every budget of its rule with
 ``scoring failed: <reason>``; any other ``ValueError`` fails its cell
@@ -41,7 +43,6 @@ passes the midpoint between its no-deletion and full-deletion levels.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,7 @@ __all__ = [
 ]
 
 GAUSSIAN_RULES = ("random", "selective-gaussian")
+_REFIT_BLOCK = 4096  # forget rows per block sum of a Gaussian-sweep chain
 DATASET_RULES = ("random",) + FEATURE_RULES
 
 
@@ -243,11 +245,18 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
     rule, refits the pooled mean at fixed unit variance, and records
     alpha = KL(p1 || fit) and epsilon = KL(p2 || fit).
 
-    Each (rule, seed) gathers its forget samples once into deletion order,
-    so budget f refits on the view of the rows after the first f, which are
-    exactly the rows its plan keeps.  Those survivors are summed in deletion
-    order; budget 0 refits on the samples in sampled order, so budget-0
-    cells are identical across rules.
+    The refit is a sum, centred on mu2 so that epsilon keeps its digits
+    when the fit lands near mu2.  Each seed sums x2 - mu2 once.  Each
+    (rule, seed) gathers its forget samples once into deletion order as
+    c = x1[ranked] - mu2 and sums c in blocks of B = ``_REFIT_BLOCK``
+    positions starting at multiples of B, keeping the blocks' suffix sums.
+    Budget f > 0 keeps c[f:], whose sum is c[f:k*B].sum() plus the blocks
+    from k = f // B + 1 on, so its refit mean is mu2 + d with
+    d = (that sum + sum(x2 - mu2)) / (n1 - f + n2), alpha = (mu2 + d)**2 / 2
+    and epsilon = d**2 / 2.  A cell's bits thus depend on (seed, rule, f)
+    alone, not on the other budgets of the grid.  Budget 0 refits with
+    ``pooled_mle`` on the samples in sampled order, so budget-0 cells are
+    identical across rules.
     """
     if not math.isfinite(mu2):
         raise ValueError("mu2 must be finite")
@@ -258,18 +267,27 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
 
     def prepare_seed(seed):
         gen = rnglib.generator(config.master_seed, "samples", seed)
-        return (gen.normal(0.0, 1.0, n1), gen.normal(mu2, 1.0, n2)), n1
+        x1, x2 = gen.normal(0.0, 1.0, n1), gen.normal(mu2, 1.0, n2)
+        return (x1, x2, float(np.sum(x2 - mu2))), n1
 
-    def measure(data, rule, seed, b_idx, ranked, f, in_order):
-        x1, x2 = data
-        if in_order is None:
-            in_order = x1[ranked]  # deletion order: budget f keeps in_order[f:]
-        fit = pooled_mle(in_order[f:] if f else x1, x2, 1.0)
-        return {"alpha": kl_gaussian(p1_true, fit), "epsilon": kl_gaussian(p2_true, fit),
-                "f": float(f)}, in_order
+    def measure(data, rule, seed, b_idx, ranked, f, sums):
+        x1, x2, s2 = data
+        if sums is None:  # centred, in deletion order: budget f keeps c[f:]
+            c = x1[ranked] - mu2
+            blocks = [c[i:i + _REFIT_BLOCK].sum() for i in range(0, n1 + 1, _REFIT_BLOCK)]
+            sums = c, np.append(np.cumsum(blocks[::-1])[::-1], 0.0)
+        if f == 0:
+            fit = pooled_mle(x1, x2, 1.0)
+            return {"alpha": kl_gaussian(p1_true, fit), "epsilon": kl_gaussian(p2_true, fit),
+                    "f": 0.0}, sums
+        c, suffix = sums
+        k = f // _REFIT_BLOCK + 1
+        d = float(c[f:k * _REFIT_BLOCK].sum() + suffix[k] + s2) / (n1 - f + n2)
+        m = d + mu2  # the refit mean
+        return {"alpha": 0.5 * m * m, "epsilon": 0.5 * d * d, "f": float(f)}, sums
 
     rows = _run_cells(config, "gaussian", GAUSSIAN_RULES, prepare_seed,
-                      lambda data, rule: selective_removal_gaussian(*data, n1), measure)
+                      lambda data, rule: selective_removal_gaussian(data[0], data[1], n1), measure)
     has_full = config.budget_fractions[-1] == 1.0  # budgets ascend
     if has_full:  # each chain's last cell deleted every forget sample
         n_budgets = len(config.budget_fractions)
@@ -382,25 +400,25 @@ def budget_to_reach(result: SweepResult, rule: str, metric: str, target: float,
 def half_target_budget(result: SweepResult, rule: str, metric: str) -> float | None:
     """Smallest budget at which the seed-mean metric falls to half its
     budget-0 value (linear interpolation between swept budgets); None when
-    no swept budget qualifies."""
+    no swept budget qualifies or the budget-0 value is <= 0, which leaves
+    no half target."""
     agg = result.aggregate(metric)
     if (rule, 0.0) not in agg:
         raise ValueError(f"no budget-0 value of {metric!r} for rule {rule!r}: "
                          "the initial value is undefined")
     initial = agg[(rule, 0.0)]
+    if initial <= 0.0:
+        return None
     return budget_to_reach(result, rule, metric, 0.5 * initial, direction="down")
 
 
 def saving(result: SweepResult, baseline_rule: str, rule: str, metric: str) -> float | None:
     """Relative budget reduction of ``rule`` versus ``baseline_rule``:
     1 - half_target(rule) / half_target(baseline).  None when either rule
-    never reaches its half target or the baseline's budget is zero."""
+    has no half-target budget."""
     base = half_target_budget(result, baseline_rule, metric)
     ours = half_target_budget(result, rule, metric)
     if base is None or ours is None:
-        return None
-    if base == 0.0:
-        warnings.warn("baseline half-target budget is zero; saving undefined")
         return None
     return 1.0 - ours / base
 

@@ -29,3 +29,22 @@ def test_every_direct_call_exists(spans):
                for span, (module, attr) in spans["DIRECT"].items()
                if not callable(getattr(module, attr, None))]
     assert not missing, f"benchmark entry points no longer exist: {missing}"
+
+
+def test_gaussian_sweep_refits_once_per_chain(monkeypatch):
+    # The benchmark's gaussian.pooled_mle and gaussian.kl_gaussian spans
+    # fire at budget 0 alone: one refit per (seed, rule) chain, each with
+    # its two divergences; every other budget refits from sums.
+    from distunlearn import sweep
+
+    calls = {"pooled_mle": 0, "kl_gaussian": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(sweep, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(sweep, name, counted)
+    config = sweep.SweepConfig(rules=("random", "selective-gaussian"),
+                               budget_fractions=(0.0, 0.25, 0.5, 1.0), seeds=(0, 1, 2))
+    result = sweep.run_gaussian_sweep(0.5, 5000, 300, config)
+    assert len(result.rows) == 24 and not result.n_failed()
+    assert calls == {"pooled_mle": 6, "kl_gaussian": 12}

@@ -1,5 +1,6 @@
 import argparse
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,20 @@ class TestExperimentCommand:
         assert "half-target budget [knn-ratio]: undefined (no budget-0 cell)" in printed
         assert len(out.read_text().splitlines()) == 5
         assert run(args) == 1
+
+    def test_rule_whose_initial_value_is_zero_is_reported(self, tmp_path, capsys):
+        # strong regularisation predicts no forget row: recall_p1 is 0 from
+        # budget 0 on, which leaves no half target and no saving
+        out = tmp_path / "exp.csv"
+        args = self.COMMON + ["--set", "train.l2_strength=100", "--set", "sweep.budgets=0,0.5",
+                              "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "half-target budget [random]: undefined (initial value 0)",
+            "half-target budget [lr-cos]: undefined (initial value 0)",
+            "saving [lr-cos vs random]: undefined"]
 
     def test_budget_zero_cells_without_a_value_are_reported(self, tmp_path):
         # the lone forget document would go to train, so no cell could have a

@@ -1,4 +1,6 @@
 import csv
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,11 +125,10 @@ class TestRunGaussianSweep:
             run_gaussian_sweep(0.5, 100, 100, config)
 
     @staticmethod
-    def reference_cells(mu2, n, config, refit):
+    def reference_cells(mu2, n, config, divergences):
         """Expected rows from a plan built from scratch for every cell;
-        ``refit(x1, x2, plan, full)`` gives the cell's fit, where ``full`` is
-        the from-scratch plan at f = n."""
-        p1, p2 = GaussianModel.univariate(0.0, 1.0), GaussianModel.univariate(mu2, 1.0)
+        ``divergences(x1, x2, plan, full)`` gives the cell's (alpha,
+        epsilon), where ``full`` is the from-scratch plan at f = n."""
         expected = []
         for seed in config.seeds:
             gen = rnglib.generator(config.master_seed, "samples", seed)
@@ -146,8 +147,7 @@ class TestRunGaussianSweep:
                     plan = plan_for(f)
                     # every plan is the first f rows of the full plan
                     assert np.array_equal(plan.removed_indices, full.removed_indices[:f])
-                    fit = refit(x1, x2, plan, full)
-                    cells.append((budget, kl_gaussian(p1, fit), kl_gaussian(p2, fit), f))
+                    cells.append((budget, *divergences(x1, x2, plan, full), f))
                 full = cells[-1][1]
                 expected += [CellResult(rule=rule, budget_fraction=budget, seed=seed,
                                         metrics={"alpha": alpha, "epsilon": eps, "f": float(f),
@@ -155,39 +155,118 @@ class TestRunGaussianSweep:
                              for budget, alpha, eps, f in cells]
         return expected
 
-    def test_matches_per_cell_reference(self):
-        # Budget f refits on the rows its plan keeps, summed in deletion
-        # order; budget 0 refits on the samples in sampled order.
-        def refit(x1, x2, plan, full):
-            f = plan.removed_indices.size
-            return pooled_mle(x1[full.removed_indices[f:]] if f else x1, x2, 1.0)
+    @staticmethod
+    def sampled_order(mu2):
+        """Budget 0: ``pooled_mle`` and ``kl_gaussian`` on the samples in
+        sampled order."""
+        p1, p2 = GaussianModel.univariate(0.0, 1.0), GaussianModel.univariate(mu2, 1.0)
 
+        def divergences(x1, x2, plan, full):
+            fit = pooled_mle(x1, x2, 1.0)
+            return kl_gaussian(p1, fit), kl_gaussian(p2, fit)
+        return divergences
+
+    @staticmethod
+    def block_rule(mu2):
+        """Budget f > 0 by the documented rule, from scratch: centre the
+        forget samples in deletion order on mu2, sum positions f up to the
+        end of f's block, then add the later blocks' sums from the last
+        block back, then the centred preserve sum."""
+        def divergences(x1, x2, plan, full):
+            f, size = plan.removed_indices.size, sweep._REFIT_BLOCK
+            c = x1[full.removed_indices] - mu2
+            k = f // size + 1
+            later = 0.0
+            for start in reversed(range(k * size, c.size + 1, size)):
+                later += c[start:start + size].sum()
+            d = float(c[f:k * size].sum() + later + (x2 - mu2).sum()) / (c.size - f + x2.size)
+            m = d + mu2
+            return 0.5 * m * m, 0.5 * d * d
+        return divergences
+
+    @staticmethod
+    def exact(mu2):
+        """Exact divergences of the refit on the rows the plan keeps, from
+        rational sums, rounded once."""
+        def divergences(x1, x2, plan, full):
+            kept = np.concatenate([np.delete(x1, plan.removed_indices), x2])
+            m = sum(map(Fraction, kept.tolist()), Fraction(0)) / kept.size
+            return float(m * m / 2), float((m - Fraction(mu2)) ** 2 / 2)
+        return divergences
+
+    def test_matches_per_cell_reference(self):
         mu2, n = 0.5, 500
+        budget_zero, blocks = self.sampled_order(mu2), self.block_rule(mu2)
+
+        def divergences(x1, x2, plan, full):
+            return (blocks if plan.removed_indices.size else budget_zero)(x1, x2, plan, full)
+
         config = small_gaussian_config(budget_fractions=(0.0, 0.1, 0.25, 0.5, 0.9, 1.0))
-        expected = self.reference_cells(mu2, n, config, refit)
+        expected = self.reference_cells(mu2, n, config, divergences)
         assert run_gaussian_sweep(mu2, n, n, config).rows == expected
 
     def test_agrees_with_refit_in_sampled_order(self):
-        # Summing the survivors in another order moves only the last bits.
-        def refit(x1, x2, plan, full):
-            return pooled_mle(np.delete(x1, plan.removed_indices), x2, 1.0)
-
+        # Budget 0 is the refit in sampled order; every other budget is
+        # within 1e-13 of the exact divergences of its survivors.
         mu2, n = 0.5, 500
         config = small_gaussian_config(budget_fractions=(0.0, 0.1, 0.25, 0.5, 0.9, 1.0))
-        expected = self.reference_cells(mu2, n, config, refit)
+        exact = self.reference_cells(mu2, n, config, self.exact(mu2))
+        in_order = self.reference_cells(mu2, n, config, self.sampled_order(mu2))
         rows = run_gaussian_sweep(mu2, n, n, config).rows
         assert [(r.rule, r.budget_fraction, r.seed) for r in rows] == \
-            [(r.rule, r.budget_fraction, r.seed) for r in expected]
-        for row, ref in zip(rows, expected):
-            if row.budget_fraction in (0.0, 1.0):  # the same rows, in the same order
-                assert row == ref
-                continue
+            [(r.rule, r.budget_fraction, r.seed) for r in exact]
+        for row, ref, zero in zip(rows, exact, in_order):
             assert row.metrics.keys() == ref.metrics.keys()
-            for name in ("alpha", "epsilon", "f"):
-                assert row.metrics[name] == pytest.approx(ref.metrics[name], rel=1e-13, abs=0)
-            # alpha_remaining = alpha at full deletion (exact) minus alpha
+            if row.budget_fraction == 0.0:
+                for name in ("alpha", "epsilon", "f"):
+                    assert row.metrics[name] == zero.metrics[name]
+            else:
+                for name in ("alpha", "epsilon", "f"):
+                    assert row.metrics[name] == pytest.approx(ref.metrics[name], rel=1e-13, abs=0)
+            # alpha_remaining = alpha at full deletion minus alpha
             assert row.metrics["alpha_remaining"] == pytest.approx(
                 ref.metrics["alpha_remaining"], rel=0, abs=1e-13 * ref.metrics["alpha"])
+
+    def test_cells_on_block_edges(self):
+        # f on either side of the 4096-row block edges, and full deletion:
+        # each cell is the documented block rule's to the bit, within 1e-13
+        # of its exact divergences, and the same whichever other budgets
+        # the grid holds.
+        mu2, n1, n2 = 0.5, 9000, 300
+        fs = (1, 4095, 4096, 4097, 8192, n1)
+        edges = tuple(f / n1 for f in fs)
+        part = small_gaussian_config(budget_fractions=edges, seeds=(0,))
+        full = small_gaussian_config(seeds=(0,), budget_fractions=tuple(sorted(
+            set(edges) | {round(0.05 * i, 2) for i in range(21)})))
+        part_rows = run_gaussian_sweep(mu2, n1, n2, part).rows
+        full_rows = run_gaussian_sweep(mu2, n1, n2, full)
+        assert part_rows == [full_rows.cell(row.rule, row.budget_fraction, row.seed)
+                             for row in part_rows]
+        gen = rnglib.generator(part.master_seed, "samples", 0)
+        x1, x2 = gen.normal(0.0, 1.0, n1), gen.normal(mu2, 1.0, n2)
+        exact, blocks = self.exact(mu2), self.block_rule(mu2)
+
+        def plan_for(rule, f):
+            if rule == "random":
+                return random_removal(n1, f, derive_seed(part.master_seed, "plan", rule, 0))
+            return selective_removal_gaussian(x1, x2, f)
+
+        for row in part_rows:
+            f = int(row.metrics["f"])
+            assert f == fs[edges.index(row.budget_fraction)]
+            plan = plan_for(row.rule, f)
+            assert (row.metrics["alpha"], row.metrics["epsilon"]) == \
+                blocks(x1, x2, plan, plan_for(row.rule, n1))
+            alpha, epsilon = exact(x1, x2, plan, None)
+            assert row.metrics["alpha"] == pytest.approx(alpha, rel=1e-13, abs=0)
+            assert row.metrics["epsilon"] == pytest.approx(epsilon, rel=1e-13, abs=0)
+
+    def test_divergences_from_the_mean_equal_kl_gaussian(self):
+        # At unit variance KL(N(0, 1) || N(m, 1)) is m**2 / 2 to the bit,
+        # which is how the sweep computes alpha from the refit mean.
+        p1 = GaussianModel.univariate(0.0, 1.0)
+        for m in np.random.default_rng(0).normal(0.0, 3.0, 1000).tolist() + [0.0, 1e-170, 1e150]:
+            assert 0.5 * m * m == kl_gaussian(p1, GaussianModel.univariate(m, 1.0))
 
     def test_part_of_the_budget_grid_reproduces_its_cells(self):
         # Plans are prefixes of one ranking per (rule, seed), so a cell
@@ -451,12 +530,19 @@ class TestBudgetAnalysis:
         assert budget_to_reach(result, "r", "m", 0.2, "up") == 0.2
 
     def test_saving_undefined_for_zero_baseline_budget(self):
-        # The baseline's metric starts at 0, so budget 0 meets its half target.
+        # The baseline's metric starts at 0, which leaves no half target.
         rows = fabricated_result({0.0: 0.0, 1.0: 0.0}, rule="base").rows
         rows += fabricated_result({0.0: 1.0, 1.0: 0.2}).rows
         result = SweepResult(rows=rows, metric_names=("m",))
-        with pytest.warns(UserWarning, match="baseline half-target budget is zero"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert half_target_budget(result, "base", "m") is None
             assert saving(result, "base", "r", "m") is None
+
+    @pytest.mark.parametrize("initial", [-0.0, -0.3])
+    def test_no_half_target_below_a_positive_initial_value(self, initial):
+        result = fabricated_result({0.0: initial, 0.5: -1.0, 1.0: -2.0})
+        assert half_target_budget(result, "r", "m") is None
 
     def test_cell_missing_raises_key_error(self):
         result = fabricated_result({0.0: 1.0})
