@@ -190,16 +190,16 @@ def _tfidf_config(cfg):
         return TfidfConfig(**cfg["tfidf"])
 
 
-def _finish_sweep(result, sweep_cfg, cfg, args, metric: str | None) -> int:
+def _finish_sweep(result, sweep_cfg, cfg, args, metric: str) -> int:
     """Write a sweep's cells, print its summary and return its exit code; the
-    half-target and saving lines need ``metric`` and a grid with budget 0."""
+    half-target and saving lines on ``metric`` need a grid with budget 0."""
     from .sweep import emit, half_target_budget, saving
 
     path, fmt = _output(cfg, args)
     emit(result, fmt, path)
     failed = result.n_failed()
     print(f"wrote {len(result.rows)} cells to {path} ({failed} failed)")
-    if metric is not None and 0.0 in sweep_cfg.budget_fractions:
+    if 0.0 in sweep_cfg.budget_fractions:
         # half_target_budget raises for a rule with no budget-0 value
         agg = result.aggregate(metric)
         half = {rule: half_target_budget(result, rule, metric)
@@ -325,8 +325,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     sweep_cfg = _sweep_config(cfg, args, ("random", "selective-gaussian"))
     result = run_gaussian_sweep(**cfg["gaussian"], config=sweep_cfg)
-    full = 1.0 in sweep_cfg.budget_fractions  # alpha_remaining needs full deletion
-    return _finish_sweep(result, sweep_cfg, cfg, args, "alpha_remaining" if full else None)
+    return _finish_sweep(result, sweep_cfg, cfg, args, "alpha_remaining")
 
 
 def _cmd_score(args) -> int:

@@ -449,19 +449,19 @@ def downsample_p2(dataset: LabeledDataset, ratio: float, seed: int) -> LabeledDa
     """Subsample the preserve partition to ceil(ratio * |p1|) rows.
 
     All forget-side rows are kept; if the preserve partition is already at or
-    below the target it is returned unchanged.  With an empty forget
-    partition the preserve rows are all kept (an empty dataset would be
-    useless to every caller).
+    below the target (an infinite ratio included) it is returned unchanged.
+    With an empty forget partition the preserve rows are all kept (an empty
+    dataset would be useless to every caller).
     """
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
+    if not ratio > 0:  # NaN included
+        raise ValueError(f"ratio must be positive, got {ratio!r}")
     keep = dataset.group == P1
     if not keep.any():
         return dataset
-    target = math.ceil(ratio * np.count_nonzero(keep))
+    target = float(ratio) * int(np.count_nonzero(keep))  # inf, not a numpy overflow warning
     p2_pos = np.flatnonzero(~keep)
-    if p2_pos.size <= target:
+    if p2_pos.size - 1 < target:  # ceil(target) >= |p2|, checked before the ceiling
         return dataset
     gen = rnglib.generator(seed, "downsample-p2")
-    keep[p2_pos[gen.permutation(p2_pos.size)[:target]]] = True
+    keep[p2_pos[gen.permutation(p2_pos.size)[:math.ceil(target)]]] = True
     return dataset.subset(np.flatnonzero(keep))

@@ -275,8 +275,8 @@ def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, *,
     the step until the objective falls or the step no longer moves the
     weights.
     """
-    if l2_strength < 0:
-        raise ValueError("l2_strength must be >= 0")
+    if not 0 <= l2_strength < math.inf:
+        raise ValueError(f"l2_strength must be >= 0 and finite, got {l2_strength!r}")
     x = train.features
     if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
         raise ValueError("features contain non-finite values")

@@ -14,7 +14,8 @@ Both sweeps run one loop over (seed, rule, budget) cells:
    one partial block sum; the dataset sweep its fit, which warm-starts the
    next fit when both training sets have the same classes.  Every fit
    still iterates to ``tol``, so each metric is that of an optimum to
-   within ``tol``.
+   within ``tol``.  Apart from that warm start, a cell is a function of
+   (seed, rule, f) alone.
 
 A ranking that raises ``ValueError`` fails every budget of its rule with
 ``scoring failed: <reason>``; any other ``ValueError`` fails its cell
@@ -26,18 +27,19 @@ classifier training draws none:
 
     samples / split / featurization : (master, "samples"|"split", seed)
     random deletion order           : (master, "plan", "random", seed)
-    p2 downsampling                 : (master, "downsample", rule, budget_idx, seed)
+    p2 downsampling                 : (master, "downsample", seed)
 
-Sampling and splitting deliberately ignore the rule and budget so that
-budget-0 cells coincide across rules for a shared seed.
+Sampling, splitting and downsampling ignore the rule and budget: budget-0
+cells coincide across rules for a shared seed, and all rules train on the
+same preserve rows, nested across budgets below full deletion.
 
 The Gaussian sweep emits ``alpha`` (divergence from the forget model) and
 ``epsilon`` (divergence from the preserve model) per cell, plus the derived
 decreasing metric ``alpha_remaining`` = alpha at full deletion minus alpha,
-for the same rule and seed, whenever the grid contains budget 1.0.  Removal
-divergence grows with the budget, so the half-target analysis runs on
-``alpha_remaining``; its half-initial crossing is the budget where alpha
-passes the midpoint between its no-deletion and full-deletion levels.
+for the same seed, on every grid.  Removal divergence grows with the
+budget, so the half-target analysis runs on ``alpha_remaining``; its
+half-initial crossing is the budget where alpha passes the midpoint between
+its no-deletion and full-deletion levels.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ class SweepConfig:
             raise ValueError("budget fractions must lie in [0, 1]")
         if list(budgets) != sorted(budgets):
             raise ValueError("budget fractions must be sorted ascending")
+        for name, value in (("seeds", min(seeds)), ("master_seed", self.master_seed)):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         for name, values in (("rules", rules), ("budget fractions", budgets), ("seeds", seeds)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {', '.join(map(str, values))}")
@@ -144,9 +149,10 @@ class PipelineConfig:
     def __post_init__(self):
         for name, ok, need in (("train_fraction", 0 < self.train_fraction < 1, "lie in (0, 1)"),
                                ("downsample_ratio", self.downsample_ratio > 0, "be > 0"),
-                               ("l2_strength", self.l2_strength >= 0, "be >= 0"),
+                               ("l2_strength", 0 <= self.l2_strength < math.inf,
+                                "be >= 0 and finite"),
                                ("max_iter", self.max_iter >= 1, "be >= 1"),
-                               ("tol", self.tol > 0, "be > 0")):
+                               ("tol", 0 < self.tol < math.inf, "be > 0 and finite")):
             if not ok:
                 raise ValueError(f"{name} must {need}, got {getattr(self, name)!r}")
 
@@ -202,8 +208,8 @@ def _run_cells(config: SweepConfig, kind: str, known: tuple[str, ...],
 
     ``prepare_seed(seed)`` returns ``(data, n1)``, with n1 the seed's forget
     rows; ``rank(data, rule)`` returns a rule's plan of all n1 rows; and
-    ``measure(data, rule, seed, b_idx, ranked, f, carry)`` returns the
-    cell's metrics and the carry for the next budget (None at the first).
+    ``measure(data, rule, ranked, f, carry)`` returns the cell's metrics
+    and the carry for the next budget (None at the first).
     A failed cell leaves the carry as it was.
     """
     for rule in config.rules:
@@ -222,10 +228,10 @@ def _run_cells(config: SweepConfig, kind: str, known: tuple[str, ...],
                          for budget in config.budget_fractions]
                 continue
             carry = None
-            for b_idx, budget in enumerate(config.budget_fractions):
+            for budget in config.budget_fractions:
                 f = int(round(budget * n1))
                 try:
-                    metrics, carry = measure(data, rule, seed, b_idx, ranked, f, carry)
+                    metrics, carry = measure(data, rule, ranked, f, carry)
                     rows.append(CellResult(rule, budget, seed, metrics))
                 except ValueError as exc:
                     rows.append(CellResult(rule, budget, seed, {}, str(exc)))
@@ -253,10 +259,11 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
     Budget f > 0 keeps c[f:], whose sum is c[f:k*B].sum() plus the blocks
     from k = f // B + 1 on, so its refit mean is mu2 + d with
     d = (that sum + sum(x2 - mu2)) / (n1 - f + n2), alpha = (mu2 + d)**2 / 2
-    and epsilon = d**2 / 2.  A cell's bits thus depend on (seed, rule, f)
-    alone, not on the other budgets of the grid.  Budget 0 refits with
-    ``pooled_mle`` on the samples in sampled order, so budget-0 cells are
-    identical across rules.
+    and epsilon = d**2 / 2; alpha_remaining is alpha at f = n1, computed
+    once per seed by the same arithmetic, minus alpha.  A cell's bits thus
+    depend on (seed, rule, f) alone, not on the other budgets of the grid.
+    Budget 0 refits with ``pooled_mle`` on the samples in sampled order, so
+    budget-0 cells are identical across rules.
     """
     if not math.isfinite(mu2):
         raise ValueError("mu2 must be finite")
@@ -268,36 +275,31 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
     def prepare_seed(seed):
         gen = rnglib.generator(config.master_seed, "samples", seed)
         x1, x2 = gen.normal(0.0, 1.0, n1), gen.normal(mu2, 1.0, n2)
-        return (x1, x2, float(np.sum(x2 - mu2))), n1
+        s2 = float(np.sum(x2 - mu2))
+        m = s2 / n2 + mu2  # the refit mean at full deletion
+        return (x1, x2, s2, 0.5 * m * m), n1
 
-    def measure(data, rule, seed, b_idx, ranked, f, sums):
-        x1, x2, s2 = data
+    def measure(data, rule, ranked, f, sums):
+        x1, x2, s2, full = data
         if sums is None:  # centred, in deletion order: budget f keeps c[f:]
             c = x1[ranked] - mu2
             blocks = [c[i:i + _REFIT_BLOCK].sum() for i in range(0, n1 + 1, _REFIT_BLOCK)]
             sums = c, np.append(np.cumsum(blocks[::-1])[::-1], 0.0)
         if f == 0:
             fit = pooled_mle(x1, x2, 1.0)
-            return {"alpha": kl_gaussian(p1_true, fit), "epsilon": kl_gaussian(p2_true, fit),
-                    "f": 0.0}, sums
-        c, suffix = sums
-        k = f // _REFIT_BLOCK + 1
-        d = float(c[f:k * _REFIT_BLOCK].sum() + suffix[k] + s2) / (n1 - f + n2)
-        m = d + mu2  # the refit mean
-        return {"alpha": 0.5 * m * m, "epsilon": 0.5 * d * d, "f": float(f)}, sums
+            alpha, epsilon = kl_gaussian(p1_true, fit), kl_gaussian(p2_true, fit)
+        else:
+            c, suffix = sums
+            k = f // _REFIT_BLOCK + 1
+            d = float(c[f:k * _REFIT_BLOCK].sum() + suffix[k] + s2) / (n1 - f + n2)
+            m = d + mu2  # the refit mean
+            alpha, epsilon = 0.5 * m * m, 0.5 * d * d
+        return {"alpha": alpha, "epsilon": epsilon, "f": float(f),
+                "alpha_remaining": full - alpha}, sums
 
     rows = _run_cells(config, "gaussian", GAUSSIAN_RULES, prepare_seed,
                       lambda data, rule: selective_removal_gaussian(data[0], data[1], n1), measure)
-    has_full = config.budget_fractions[-1] == 1.0  # budgets ascend
-    if has_full:  # each chain's last cell deleted every forget sample
-        n_budgets = len(config.budget_fractions)
-        for start in range(0, len(rows), n_budgets):
-            chain = rows[start:start + n_budgets]
-            full = chain[-1].metrics["alpha"]
-            for cell in chain:
-                cell.metrics["alpha_remaining"] = full - cell.metrics["alpha"]
-    metric_names = ("alpha", "epsilon", "f") + (("alpha_remaining",) if has_full else ())
-    return SweepResult(rows=rows, metric_names=metric_names)
+    return SweepResult(rows=rows, metric_names=("alpha", "epsilon", "f", "alpha_remaining"))
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +340,19 @@ def run_dataset_sweep(source: TextCorpus | LabeledDataset, pipeline: PipelineCon
         else:
             train, val = split_stratified(source, pipeline.train_fraction, split_seed)
         p1_pos = train.p1_positions()
-        return (train, val, p1_pos, train.p2_positions()), p1_pos.size
+        return (train, val, p1_pos, train.p2_positions(),
+                derive_seed(config.master_seed, "downsample", seed)), p1_pos.size
 
     def rank(data, rule):
-        train, _, p1_pos, p2_pos = data
+        train, _, p1_pos, p2_pos, _ = data
         scored = score_features(train.features[p1_pos], train.features[p2_pos], rule,
                                 config.scoring)
         return plan_from_scores(scored, rule, p1_pos.size)
 
-    def measure(data, rule, seed, b_idx, ranked, f, model):
-        train, val, _, _ = data
+    def measure(data, rule, ranked, f, model):
+        train, val, _, _, downsample_seed = data
         edited = apply_plan(train, RemovalPlan(rule=rule, removed_indices=ranked[:f]))
-        reduced = downsample_p2(edited, pipeline.downsample_ratio,
-                                derive_seed(config.master_seed, "downsample", rule, b_idx, seed))
+        reduced = downsample_p2(edited, pipeline.downsample_ratio, downsample_seed)
         # the chain's last fit warm-starts this one when the classes agree
         warm = model is not None and np.array_equal(model.classes, np.unique(reduced.labels))
         model = train_logistic(reduced, pipeline.l2_strength, max_iter=pipeline.max_iter,

@@ -111,6 +111,12 @@ class TestConfigErrors:
         (["experiment", "--set", "train.l2_strength=-1"], ["l2_strength", "-1.0"]),
         (["experiment", "--set", "train.max_iter=0"], ["max_iter", "0"]),
         (["experiment", "--set", "train.tol=-1"], ["tol", "-1.0"]),
+        # an infinite penalty or tolerance would fit NaN or stop at once
+        (["experiment", "--set", "dataset.kind=synthetic", "--set", "sweep.seeds=0",
+          "--set", "sweep.budgets=0,0.5", "--set", "train.l2_strength=inf"],
+         ["l2_strength", "finite", "inf"]),
+        (["experiment", "--set", "dataset.kind=synthetic", "--set", "sweep.seeds=0",
+          "--set", "sweep.budgets=0,0.5", "--set", "train.tol=inf"], ["tol", "finite", "inf"]),
         # a synthetic corpus needs words in both vocabularies
         (["experiment", "--set", "dataset.kind=synthetic", "--set", "dataset.n_specific=0"],
          ["experiment input", "n_specific", "0"]),
@@ -390,10 +396,19 @@ class TestSweepSummary:
                 assert float(line[len(prefix):]) == pytest.approx(
                     1.0 - half[rule] / half[rules[0]], abs=1e-3)
 
-    def test_grid_without_full_deletion_prints_the_count_alone(self, tmp_path, capsys):
+    def test_grid_without_full_deletion_prints_half_target_and_saving(self, tmp_path, capsys):
+        # alpha_remaining is on every grid, so a grid without budget 1.0
+        # summarises it too, with the half-target budget of the full grid
         out = tmp_path / "sweep.csv"
-        assert run(self.SIMULATE + ["--set", "sweep.budgets=0,0.5", "--out", str(out)]) == 0
-        assert capsys.readouterr().out.splitlines() == [f"wrote 8 cells to {out} (0 failed)"]
+        summaries = []
+        for grid in ("0,0.5", "0,0.5,1"):
+            assert run(self.SIMULATE + ["--set", f"sweep.budgets={grid}", "--out", str(out)]) == 0
+            summaries.append(capsys.readouterr().out.splitlines())
+        assert summaries[0] == [f"wrote 8 cells to {out} (0 failed)",
+                                "half-target budget [random]: not reached",
+                                summaries[1][2],
+                                "saving [selective-gaussian vs random]: undefined"]
+        assert summaries[1][2] == "half-target budget [selective-gaussian]: 0.3508"
 
 
 class TestScoreCommand:

@@ -483,6 +483,14 @@ class TestDownsampleP2:
         with pytest.raises(ValueError):
             downsample_p2(ds, 0.0, seed=0)
 
+    def test_infinite_ratio_keeps_the_dataset_and_nan_is_rejected(self):
+        # the target is compared with the preserve count before its ceiling
+        ds = toy_dataset({("P1", 1): 3, ("P2", 0): 100})
+        for ratio in (math.inf, 1e308):
+            assert downsample_p2(ds, ratio, seed=0) is ds
+        with pytest.raises(ValueError, match="ratio must be positive, got nan"):
+            downsample_p2(ds, math.nan, seed=0)
+
 
 def reference_split_row_positions(group, labels, train_fraction, seed):
     """The list-based split that split_row_positions replaced: strata from a

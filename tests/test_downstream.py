@@ -331,6 +331,12 @@ class TestTrainLogistic:
         with pytest.raises(ValueError, match="l2_strength must be >= 0"):
             train_logistic(two_class_dataset(), -1e-3)
 
+    @pytest.mark.parametrize("l2_strength", [math.inf, math.nan])
+    def test_non_finite_l2_strength_rejected(self, l2_strength):
+        with pytest.raises(ValueError, match=f"l2_strength must be >= 0 and finite, "
+                                             f"got {l2_strength!r}"):
+            train_logistic(two_class_dataset(), l2_strength)
+
     def test_text_sweep_cell_converges(self):
         # the bundled two-cluster corpus under the criterion-10 TF-IDF and
         # training settings

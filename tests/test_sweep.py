@@ -110,14 +110,22 @@ class TestRunGaussianSweep:
         r2 = run_gaussian_sweep(0.5, 300, 300, config)
         assert r1.rows == r2.rows
 
-    def test_alpha_remaining_derived_only_with_full_budget(self):
+    def test_alpha_remaining_on_every_grid(self):
+        # alpha_remaining = alpha at full deletion minus alpha, whether or
+        # not the grid holds budget 1.0
         with_full = run_gaussian_sweep(0.5, 100, 100, small_gaussian_config())
-        assert "alpha_remaining" in with_full.metric_names
-        row = with_full.cell("random", 1.0, 0)
-        assert row.metrics["alpha_remaining"] == 0.0
-        without = run_gaussian_sweep(
-            0.5, 100, 100, small_gaussian_config(budget_fractions=(0.0, 0.5)))
-        assert "alpha_remaining" not in without.metric_names
+        assert with_full.cell("random", 1.0, 0).metrics["alpha_remaining"] == 0.0
+        full = {(row.rule, row.seed): row.metrics["alpha"]
+                for row in with_full.rows if row.budget_fraction == 1.0}
+        for budgets in ((0.0, 0.5), (0.25,)):
+            result = run_gaussian_sweep(0.5, 100, 100,
+                                        small_gaussian_config(budget_fractions=budgets))
+            assert result.metric_names == with_full.metric_names
+            assert "alpha_remaining" in result.metric_names
+            assert len(result.rows) == 6 * len(budgets)
+            for row in result.rows:
+                assert row.metrics["alpha_remaining"] == \
+                    full[(row.rule, row.seed)] - row.metrics["alpha"]
 
     def test_rejects_unknown_rule(self):
         config = small_gaussian_config(rules=("cos-mu2",))
@@ -231,7 +239,7 @@ class TestRunGaussianSweep:
         # f on either side of the 4096-row block edges, and full deletion:
         # each cell is the documented block rule's to the bit, within 1e-13
         # of its exact divergences, and the same whichever other budgets
-        # the grid holds.
+        # the grid holds, alpha_remaining included when it lacks budget 1.0.
         mu2, n1, n2 = 0.5, 9000, 300
         fs = (1, 4095, 4096, 4097, 8192, n1)
         edges = tuple(f / n1 for f in fs)
@@ -240,8 +248,10 @@ class TestRunGaussianSweep:
             set(edges) | {round(0.05 * i, 2) for i in range(21)})))
         part_rows = run_gaussian_sweep(mu2, n1, n2, part).rows
         full_rows = run_gaussian_sweep(mu2, n1, n2, full)
-        assert part_rows == [full_rows.cell(row.rule, row.budget_fraction, row.seed)
-                             for row in part_rows]
+        no_full = small_gaussian_config(budget_fractions=edges[:-1], seeds=(0,))
+        for rows in (part_rows, run_gaussian_sweep(mu2, n1, n2, no_full).rows):
+            assert rows == [full_rows.cell(row.rule, row.budget_fraction, row.seed)
+                            for row in rows]
         gen = rnglib.generator(part.master_seed, "samples", 0)
         x1, x2 = gen.normal(0.0, 1.0, n1), gen.normal(mu2, 1.0, n2)
         exact, blocks = self.exact(mu2), self.block_rule(mu2)
@@ -395,6 +405,34 @@ class TestRunDatasetSweep:
             assert a.metrics["macro_f1_p2"] == b.metrics["macro_f1_p2"]
             assert abs(a.metrics["logloss"] - b.metrics["logloss"]) <= 10 * pipeline.tol
 
+    def test_preserve_rows_paired_across_rules_and_nested_across_budgets(self, monkeypatch):
+        # One downsample stream per seed: at every budget each rule trains
+        # on the same preserve rows, and below full deletion a larger budget
+        # keeps a subset of a smaller one's.  Ratio 2 binds below f = n1.
+        original, kept = sweep.downsample_p2, []
+
+        def downsample(dataset, ratio, seed):
+            out = original(dataset, ratio, seed)
+            kept.append(frozenset(out.row_ids[out.p2_positions()].tolist()))
+            return out
+
+        monkeypatch.setattr(sweep, "downsample_p2", downsample)
+        ds = feature_dataset_with_mixed_labels(n1=30, n2=300)
+        config = SweepConfig(rules=("random", "cos-mu2", "lr-maha"),
+                             budget_fractions=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
+                             seeds=(0, 1), master_seed=4)
+        result = run_dataset_sweep(ds, PipelineConfig(downsample_ratio=2.0, l2_strength=1e-3,
+                                                      max_iter=300), config)
+        assert result.n_failed() == 0
+        n_budgets, n_p2 = len(config.budget_fractions), len(kept[-1])
+        chains = [kept[i:i + n_budgets] for i in range(0, len(kept), n_budgets)]
+        for seed_chains in (chains[:3], chains[3:]):  # rows run in (seed, rule, budget) order
+            assert all(chain == seed_chains[0] for chain in seed_chains)
+            chain = seed_chains[0]
+            assert all(len(rows) < n_p2 for rows in chain[:-1])  # downsampling binds
+            assert all(later < earlier for earlier, later in zip(chain[:-2], chain[1:-1]))
+            assert chain[-2] < chain[-1]  # full deletion keeps every preserve row
+
     def test_class_change_restarts_from_zero(self, monkeypatch):
         # class 2 occurs only among forget rows, so full deletion drops it
         ds = feature_dataset_with_mixed_labels()
@@ -454,6 +492,9 @@ class TestRunDatasetSweep:
 @pytest.mark.parametrize("call, match", [
     (lambda: SweepConfig(rules=("random",), budget_fractions=(), seeds=(0,)),
      "at least one budget fraction"),
+    # numpy's SeedSequence would reject these later, without the field's name
+    (lambda: small_gaussian_config(seeds=(2, -1)), "seeds must be non-negative, got -1"),
+    (lambda: small_gaussian_config(master_seed=-1), "master_seed must be non-negative, got -1"),
     (lambda: run_gaussian_sweep(float("inf"), 10, 10, small_gaussian_config()),
      "mu2 must be finite"),
     (lambda: budget_to_reach(fabricated_result({0.0: 1.0}), "r", "m", 0.5, "sideways"),
