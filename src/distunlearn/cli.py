@@ -167,8 +167,14 @@ def _load_config(args) -> dict[str, dict]:
     return cfg
 
 
-def _sweep_config(cfg, args, default_rules: tuple[str, ...]):
+def _scoring_params(cfg):
     from .mechanisms import ScoringParams
+
+    with _config_errors("[scoring] config"):
+        return ScoringParams(**cfg["scoring"])
+
+
+def _sweep_config(cfg, args, default_rules: tuple[str, ...]):
     from .sweep import SweepConfig
 
     sweep = cfg["sweep"]
@@ -180,7 +186,7 @@ def _sweep_config(cfg, args, default_rules: tuple[str, ...]):
         return SweepConfig(
             rules=sweep["rules"] or default_rules, budget_fractions=sweep["budgets"],
             seeds=sweep["seeds"], master_seed=master_seed,
-            scoring=ScoringParams(**cfg["scoring"]))
+            scoring=_scoring_params(cfg))
 
 
 def _tfidf_config(cfg):
@@ -330,9 +336,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_score(args) -> int:
     from .data_io import P1, TfidfVectorizer, forget_tags
-    from .mechanisms import ScoringParams, score_features
+    from .mechanisms import score_features
 
     cfg = _load_config(args)
+    params = _scoring_params(cfg)  # checked before the dataset is read
     source = _load_dataset(cfg)
     rule = cfg["score"]["rule"]
     if hasattr(source, "texts"):
@@ -342,7 +349,7 @@ def _cmd_score(args) -> int:
     else:
         p1_rows = source.features[source.p1_positions()]
         p2_rows = source.features[source.p2_positions()]
-    scored = score_features(p1_rows, p2_rows, rule, ScoringParams(**cfg["scoring"]))
+    scored = score_features(p1_rows, p2_rows, rule, params)
     rows = [{"index": i, "score": s, "rule": rule} for i, s in enumerate(scored.score.tolist())]
     path, fmt = _output(cfg, args)
     write_rows(rows, fmt, path, ["index", "score", "rule"])

@@ -273,10 +273,14 @@ def train_logistic(train: LabeledDataset, l2_strength: float = 1.0, *,
     non-converged, after ``max_iter`` Newton iterations or when no step
     along the Newton direction lowers the objective: the line search halves
     the step until the objective falls or the step no longer moves the
-    weights.
+    weights.  ``tol`` must be positive and finite and ``max_iter`` at least 1.
     """
     if not 0 <= l2_strength < math.inf:
         raise ValueError(f"l2_strength must be >= 0 and finite, got {l2_strength!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     x = train.features
     if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
         raise ValueError("features contain non-finite values")

@@ -159,9 +159,7 @@ def frontier_gaussian(divergence_D: float, alpha: float) -> TradeoffPoint:
     """
     if not (divergence_D >= 0.0 and math.isfinite(divergence_D)):
         raise ValueError(f"divergence must be finite and >= 0, got {divergence_D}")
-    if not (alpha >= 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if alpha < divergence_D:
+    if alpha < divergence_D:  # TradeoffPoint rejects an alpha below 0 or not finite
         return TradeoffPoint(alpha=alpha, epsilon=0.0, dominated=True)
     eps = (math.sqrt(alpha) - math.sqrt(divergence_D)) ** 2
     return TradeoffPoint(alpha=alpha, epsilon=eps, dominated=False)

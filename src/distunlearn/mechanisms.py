@@ -18,7 +18,9 @@ Rules
 - ``lr-maha``    : Mahalanobis analogue of ``lr-cos`` (both distances under
                    the preserve covariance)
 - ``knn-ratio``  : local kernel density ratio using k-th nearest neighbor
-                   distances, exp((d2^2 - d1^2) / sigma^2)
+                   distances, exp((d2^2 - d1^2) / sigma^2); rejects scores
+                   that all agree to within 1e-12 relative, as under a
+                   bandwidth far wider than those distances
 
 ``score_features`` returns one record array with a ``score`` and a
 ``zero_norm`` flag per forget row.  The ``random`` baseline is not a rule
@@ -31,6 +33,7 @@ one place a plan's indices are checked.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -80,17 +83,24 @@ class RemovalPlan:
 class ScoringParams:
     """Knobs for the feature scoring rules.
 
-    ``sigma`` is the kernel bandwidth for ``knn-ratio``; when None it
-    defaults to the median pairwise distance within the pooled rows
-    (subsampled by a deterministic stride above ``bandwidth_cap`` rows,
-    which must then be at least 2).
-    ``ridge_scale`` multiplies trace(Sigma)/d for the Mahalanobis ridge.
+    ``sigma`` is the kernel bandwidth for ``knn-ratio``, positive and
+    finite; when None it defaults to the median pairwise distance within
+    the pooled rows (subsampled by a deterministic stride above
+    ``bandwidth_cap`` rows, which must then be at least 2).
+    ``ridge_scale`` multiplies trace(Sigma)/d for the Mahalanobis ridge; it
+    must be finite and >= 0.
     """
 
     k: int = 10
     sigma: float | None = None
     ridge_scale: float = 1e-6
     bandwidth_cap: int = 2048
+
+    def __post_init__(self):
+        if self.sigma is not None and not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not 0 <= self.ridge_scale < math.inf:
+            raise ValueError(f"ridge_scale must be >= 0 and finite, got {self.ridge_scale!r}")
 
 
 def random_removal(n1: int, f: int, seed: int) -> RemovalPlan:
@@ -337,8 +347,6 @@ def score_features(features_p1, features_p2, rule: str,
             )
         if params.sigma is not None:
             sigma = float(params.sigma)
-            if sigma <= 0:
-                raise ValueError("sigma must be positive")
         else:
             if params.bandwidth_cap < 2:
                 raise ValueError(f"bandwidth_cap={params.bandwidth_cap} leaves fewer than 2 "
@@ -352,14 +360,18 @@ def score_features(features_p1, features_p2, rule: str,
                                  f"to rounding (sigma^2 = {sigma**2:.3g} <= 4 d eps max |x|^2)")
         d1k = _kth_nearest(x1, x1, k, exclude_self=True)
         d2k = _kth_nearest(x1, x2, k)
-        scores = np.exp((d2k - d1k) / sigma**2)
+        # a given sigma above about 1e154 squares to inf, where sigma**2 would raise
+        scores = np.exp((d2k - d1k) / (sigma * sigma))
 
     if not np.all(np.isfinite(scores)):
         raise ValueError(f"rule {rule!r} produced non-finite scores")
-    if rule == "norm" and np.ptp(scores) <= 1e-12 * scores.max():
-        raise ValueError("rule 'norm' cannot rank these rows: every forget row's l2 length "
-                         "agrees to within 1e-12 relative (as on l2-normalised rows), so "
-                         "its plans would follow rounding or row order")
+    if rule in ("norm", "knn-ratio") and np.ptp(scores) <= 1e-12 * scores.max():
+        why = ("every forget row's l2 length agrees to within 1e-12 relative (as on "
+               "l2-normalised rows)" if rule == "norm" else
+               "every score exp((d2^2 - d1^2) / sigma^2) agrees to within 1e-12 relative "
+               f"at sigma={sigma:g}")
+        raise ValueError(f"rule {rule!r} cannot rank these rows: {why}, so its plans "
+                         "would follow rounding or row order")
     if flags.any():
         warnings.warn(
             f"{int(flags.sum())} zero-norm row(s) under cosine rule {rule!r} scored 0",

@@ -262,8 +262,8 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
     and epsilon = d**2 / 2; alpha_remaining is alpha at f = n1, computed
     once per seed by the same arithmetic, minus alpha.  A cell's bits thus
     depend on (seed, rule, f) alone, not on the other budgets of the grid.
-    Budget 0 refits with ``pooled_mle`` on the samples in sampled order, so
-    budget-0 cells are identical across rules.
+    Budget 0 refits with ``pooled_mle`` on the samples in sampled order,
+    once per seed, so budget-0 cells are identical across rules.
     """
     if not math.isfinite(mu2):
         raise ValueError("mu2 must be finite")
@@ -277,17 +277,18 @@ def run_gaussian_sweep(mu2: float, n1: int, n2: int, config: SweepConfig) -> Swe
         x1, x2 = gen.normal(0.0, 1.0, n1), gen.normal(mu2, 1.0, n2)
         s2 = float(np.sum(x2 - mu2))
         m = s2 / n2 + mu2  # the refit mean at full deletion
-        return (x1, x2, s2, 0.5 * m * m), n1
+        fit = pooled_mle(x1, x2, 1.0)  # budget 0, shared by every rule
+        return (x1, x2, s2, 0.5 * m * m,
+                (kl_gaussian(p1_true, fit), kl_gaussian(p2_true, fit))), n1
 
     def measure(data, rule, ranked, f, sums):
-        x1, x2, s2, full = data
+        x1, _, s2, full, budget_zero = data
         if sums is None:  # centred, in deletion order: budget f keeps c[f:]
             c = x1[ranked] - mu2
             blocks = [c[i:i + _REFIT_BLOCK].sum() for i in range(0, n1 + 1, _REFIT_BLOCK)]
             sums = c, np.append(np.cumsum(blocks[::-1])[::-1], 0.0)
         if f == 0:
-            fit = pooled_mle(x1, x2, 1.0)
-            alpha, epsilon = kl_gaussian(p1_true, fit), kl_gaussian(p2_true, fit)
+            alpha, epsilon = budget_zero
         else:
             c, suffix = sums
             k = f // _REFIT_BLOCK + 1

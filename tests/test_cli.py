@@ -15,6 +15,20 @@ def run(argv):
     return main(argv)
 
 
+def features_csv(directory, labels, values):
+    """``--set`` arguments for a features CSV (and its schema) written to
+    ``directory``: one row per label, with the label-1 rows in the forget
+    group P1."""
+    data, schema = directory / "features.csv", directory / "features.schema"
+    rows = ["id,label,group," + ",".join(f"x{j}" for j in range(values.shape[1]))]
+    rows += [f"r{i},{label},{'P1' if label == 1 else 'P2'}," + ",".join(f"{v:.6f}" for v in x)
+             for i, (label, x) in enumerate(zip(labels, values))]
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    schema.write_text("label_col=label\ngroup_col=group\nid_col=id\n", encoding="utf-8")
+    return ["--set", "dataset.kind=csv", "--set", f"dataset.path={data}",
+            "--set", f"dataset.schema={schema}"]
+
+
 class TestParseFloats:
     def test_ranges_include_stop_in_either_direction(self):
         assert _parse_floats("0:1:0.5") == (0.0, 0.5, 1.0)
@@ -134,9 +148,34 @@ class TestConfigErrors:
         # l2-normalised TF-IDF rows all have length 1 up to rounding
         (["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=norm"],
          ["score input", "'norm'", "1e-12"]),
+        # ten identical rows, five of them forget rows, have a median
+        # distance of 0 up to rounding
+        (["score", lambda tmp: features_csv(tmp, [1] * 5 + [0] * 5, np.full((10, 3), 0.3)),
+          "--set", "score.rule=knn-ratio", "--set", "scoring.k=2"],
+         ["score input", "median pairwise distance is 0"]),
+        # a knn-ratio bandwidth that cannot rank: not finite, or so wide that
+        # every score is exactly 1
+        *[(["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=knn-ratio",
+            "--set", f"scoring.sigma={sigma}"], ["[scoring] config", "sigma", sigma])
+          for sigma in ("inf", "nan")],
+        *[(["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=knn-ratio",
+            "--set", f"scoring.sigma={sigma}"], ["score input", "'knn-ratio' cannot rank",
+                                                 f"sigma={sigma}"])
+          for sigma in ("1e+150", "1e+200")],
+        # a Mahalanobis ridge that is negative or not finite
+        *[(["score", "--set", "dataset.kind=synthetic", "--set", "score.rule=lr-maha",
+            "--set", f"scoring.ridge_scale={ridge}"], ["[scoring] config", "ridge_scale", ridge])
+          for ridge in ("-1.0", "nan", "inf")],
+        (["experiment", "--set", "dataset.kind=synthetic", "--set", "scoring.sigma=nan"],
+         ["[scoring] config", "sigma", "nan"]),
+        # a lone forget document would stay in train, leaving recall_p1 empty
+        (["experiment", "--set", "dataset.kind=synthetic", "--set", "dataset.n_p1=1",
+          "--set", "sweep.budgets=0,0.5"], ["experiment input", "1 forget row(s)", "at least 2"]),
     ])
     def test_bad_value_exits_with_one_line(self, tmp_path, argv, names):
         out = tmp_path / "out.csv"
+        # a callable stands for the --set arguments of a file it writes
+        argv = [part for arg in argv for part in (arg(tmp_path) if callable(arg) else [arg])]
         with pytest.raises(SystemExit) as info:
             run(argv + ["--out", str(out)])
         message = str(info.value)
@@ -373,6 +412,8 @@ class TestSweepSummary:
         # every knn-ratio cell fails, its budget-0 cell too
         (EXPERIMENT + ["--set", "sweep.budgets=0,0.5", "--set", "sweep.rules=random,knn-ratio",
                        "--set", "scoring.k=100000"], ["random", "knn-ratio"], 4, 2),
+        (EXPERIMENT + ["--set", "sweep.budgets=0,0.5", "--set", "sweep.rules=random,knn-ratio",
+                       "--set", "scoring.sigma=1e200"], ["random", "knn-ratio"], 4, 2),
     ])
     def test_one_summary(self, tmp_path, capsys, argv, rules, cells, failed):
         out = tmp_path / "sweep.csv"
@@ -503,12 +544,28 @@ class TestExperimentCommand:
             run(args)
         assert not out.exists()
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("classes", [None, 2, 3], ids=["synthetic", "csv-2", "csv-3"])
+    def test_byte_identical_reruns(self, tmp_path, classes):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = self.COMMON + ["--set", "sweep.budgets=0.0,0.5", "--seed", "4"]
+        if classes is None:
+            args, count = self.COMMON + ["--set", "sweep.budgets=0.0,0.5", "--seed", "4"], 5
+        else:
+            # 150 feature rows of which 30 forget rows; a third class runs the
+            # softmax fit, the CLI's only path to it
+            gen = np.random.default_rng(0)
+            labels = [1 if i < 30 else 2 if classes == 3 and i % 2 else 0 for i in range(150)]
+            means = np.array([{1: 0.0, 0: 1.0, 2: -1.0}[label] for label in labels])
+            values = gen.normal(means[:, None], 1.0, (150, 3))
+            args = ["experiment", *features_csv(tmp_path, labels, values),
+                    "--set", "sweep.seeds=0,1", "--set", "sweep.budgets=0,0.5",
+                    "--set", "sweep.rules=random,lr-maha"]
+            count = 9  # a header and 2 rules x 2 budgets x 2 seeds
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        lines = a.read_text().splitlines()
+        assert len(lines) == count
+        assert ("acc_class_2" in lines[0].split(",")) == (classes == 3)
 
 
 class TestConfigFile:

@@ -323,7 +323,7 @@ class TestTrainLogistic:
         # A gradient norm of 0 is out of reach: once no halved step moves the
         # weights, the fit stops before max_iter and says so.
         ds = two_class_dataset(n=40, d=3, seed=0, separation=2.0)
-        meta = train_logistic(ds, 1e-3, max_iter=500, tol=0.0).training_meta
+        meta = train_logistic(ds, 1e-3, max_iter=500, tol=1e-300).training_meta
         assert not meta.converged
         assert 0 < meta.iterations < 500
 
@@ -336,6 +336,14 @@ class TestTrainLogistic:
         with pytest.raises(ValueError, match=f"l2_strength must be >= 0 and finite, "
                                              f"got {l2_strength!r}"):
             train_logistic(two_class_dataset(), l2_strength)
+
+    @pytest.mark.parametrize("name, value", [("tol", math.inf), ("tol", math.nan),
+                                             ("tol", 0.0), ("tol", -1.0),
+                                             ("max_iter", 0), ("max_iter", -3)])
+    def test_stopping_rule_out_of_range_rejected(self, name, value):
+        # each would stop at once or run until the line search gives up
+        with pytest.raises(ValueError, match=f"{name} must be .*, got {value!r}"):
+            train_logistic(two_class_dataset(d=3), 1e-3, **{name: value})
 
     def test_text_sweep_cell_converges(self):
         # the bundled two-cluster corpus under the criterion-10 TF-IDF and

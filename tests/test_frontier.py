@@ -157,11 +157,17 @@ class TestFrontierGaussian:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert frontier_gaussian(2.0, 2.0).epsilon == 0.0
 
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            frontier_gaussian(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            frontier_gaussian(1.0, -1.0)
+    @pytest.mark.parametrize("divergence, alpha, match", [
+        (-1.0, 1.0, "divergence must be finite and >= 0, got -1.0"),
+        # TradeoffPoint makes the alpha check
+        (1.0, -1.0, "alpha must be finite and >= 0, got -1.0"),
+        (1.0, math.nan, "alpha must be finite and >= 0, got nan"),
+        (1.0, math.inf, "alpha must be finite and >= 0, got inf"),
+        (1.0, -math.inf, "alpha must be finite and >= 0, got -inf"),
+    ], ids=["D=-1", "alpha=-1", "alpha=nan", "alpha=inf", "alpha=-inf"])
+    def test_inputs_rejected(self, divergence, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            frontier_gaussian(divergence, alpha)
 
 
 class TestExpFamilyGaussian:

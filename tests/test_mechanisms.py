@@ -81,6 +81,21 @@ class TestRemovalPlan:
                             "knn-ratio", ScoringParams(k=1)), "median pairwise distance is 0"),
     (lambda: score_features(np.array([[np.nan, 0.0], [1.0, 0.0]]), None, "norm"),
      "non-finite scores"),
+    # scoring knobs that no rule can use
+    (lambda: ScoringParams(sigma=-1.0), "sigma must be positive and finite, got -1.0"),
+    (lambda: ScoringParams(sigma=math.nan), "sigma must be positive and finite, got nan"),
+    (lambda: ScoringParams(sigma=math.inf), "sigma must be positive and finite, got inf"),
+    (lambda: ScoringParams(ridge_scale=-1.0), "ridge_scale must be >= 0 and finite, got -1.0"),
+    (lambda: ScoringParams(ridge_scale=math.nan), "ridge_scale must be >= 0 and finite, got nan"),
+    (lambda: ScoringParams(ridge_scale=math.inf), "ridge_scale must be >= 0 and finite, got inf"),
+    # a bandwidth so wide that every score is exactly 1; sigma = 1e200
+    # squares to inf
+    (lambda: score_features(np.array([[0.0], [1.0], [3.0]]), np.array([[0.5], [4.0]]),
+                            "knn-ratio", ScoringParams(k=1, sigma=1e150)),
+     r"'knn-ratio' cannot rank these rows: .* at sigma=1e\+150"),
+    (lambda: score_features(np.array([[0.0], [1.0], [3.0]]), np.array([[0.5], [4.0]]),
+                            "knn-ratio", ScoringParams(k=1, sigma=1e200)),
+     r"'knn-ratio' cannot rank these rows: .* at sigma=1e\+200"),
 ])
 def test_mechanism_inputs_rejected(call, match):
     with pytest.raises(ValueError, match=match):
